@@ -8,25 +8,92 @@
 #include "src/base/strings.h"
 
 namespace fwcluster {
+namespace {
+
+// Sampling period for the cluster-wide memory/density gauges, the fleet-wide
+// rollup gauges, the SLO monitor's bucket ring, and the drain poll.
+constexpr Duration kSampleInterval = Duration::Millis(250);
+
+// Warm-pool autoscaler: every tick, per host × app, the target pool is
+// Little's law over an EWMA of the observed arrival rate, with headroom,
+// capped per app. The zone spreader ticks and smooths at the same cadence.
+constexpr Duration kAutoscaleInterval = Duration::Seconds(1);
+constexpr double kAutoscaleEwmaAlpha = 0.3;
+constexpr double kAutoscaleSafety = 1.5;
+constexpr int kMaxPoolPerApp = 8;
+
+// Warm clones parked per app during a cold host's join warm-up, before the
+// host is admitted to the scheduler ring.
+constexpr int kJoinWarmClones = 1;
+
+// Retry budget: each accepted first attempt deposits this fraction of a
+// retry token, up to the burst.
+constexpr double kRetryBudgetRatio = 0.1;
+constexpr double kRetryBudgetBurst = 10.0;
+
+// Hedge trigger: the kHedgeQuantile latency over the last kHedgeWindow
+// completions (hedge_min_delay until kHedgeMinSamples have been seen). The
+// window keeps the delay on the current tail instead of leaving it inflated
+// by every overload episode the run has ever seen.
+constexpr double kHedgeQuantile = 99.0;
+constexpr int64_t kHedgeMinSamples = 50;
+constexpr size_t kHedgeWindow = 1024;
+
+// Folds one autoscale tick's arrivals of `app` into its rate EWMA (per
+// second) and returns the new value.
+double TickRateEwma(const std::map<std::string, uint64_t>& arrivals,
+                    std::map<std::string, double>& rate_ewma, const std::string& app) {
+  const auto it = arrivals.find(app);
+  const double observed = (it == arrivals.end() ? 0.0 : static_cast<double>(it->second)) /
+                          kAutoscaleInterval.seconds();
+  double& ewma = rate_ewma[app];
+  ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
+  return ewma;
+}
+
+}  // namespace
+
+Cluster::Counters::Counters(fwobs::MetricsRegistry& metrics)
+    : submitted(metrics.GetCounter("cluster.submitted")),
+      completed(metrics.GetCounter("cluster.completed")),
+      failed(metrics.GetCounter("cluster.failed")),
+      retries(metrics.GetCounter("cluster.retries")),
+      zombie_discards(metrics.GetCounter("cluster.zombie_discards")),
+      warm_hits(metrics.GetCounter("cluster.warm_hits")),
+      shed(metrics.GetCounter("cluster.shed")),
+      expired(metrics.GetCounter("cluster.expired")),
+      retry_budget_denied(metrics.GetCounter("cluster.retry_budget_denied")),
+      hedges(metrics.GetCounter("cluster.hedges")),
+      hedge_wins(metrics.GetCounter("cluster.hedge_wins")),
+      hedge_discards(metrics.GetCounter("cluster.hedge_discards")),
+      suspects(metrics.GetCounter("cluster.suspects")),
+      detector_deaths(metrics.GetCounter("cluster.detector_deaths")),
+      reinstated(metrics.GetCounter("cluster.reinstated")),
+      brownout_discards(metrics.GetCounter("cluster.brownout_discards")),
+      host_crashes(metrics.GetCounter("cluster.host_crashes")),
+      host_restarts(metrics.GetCounter("cluster.host_restarts")),
+      host_partitions(metrics.GetCounter("cluster.host_partitions")),
+      zone_outages(metrics.GetCounter("cluster.zone_outages")),
+      hosts_added(metrics.GetCounter("cluster.hosts_added")),
+      hosts_admitted(metrics.GetCounter("cluster.hosts_admitted")),
+      hosts_removed(metrics.GetCounter("cluster.hosts_removed")),
+      hosts_decommissioned(metrics.GetCounter("cluster.hosts_decommissioned")) {}
 
 Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost>> hosts,
                  const Config& config)
     : sim_(sim),
       config_(config),
       obs_([this] { return sim_.Now(); }),
-      slo_(config.slo, config.sample_interval, &obs_),
-      scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()),
-                               config.vnodes_per_host)),
-      health_(std::make_unique<FailureDetector>(static_cast<int>(hosts.size()),
-                                                config.health, sim.Now())),
+      counters_(obs_.metrics()),
+      slo_(config.slo, kSampleInterval, &obs_),
+      scheduler_(MakeScheduler(config.policy, static_cast<int>(hosts.size()))),
+      health_(static_cast<int>(hosts.size()), config.health, sim.Now()),
       admission_(static_cast<int>(hosts.size()), config.workers_per_host,
                  config.admission),
-      retry_budget_(config.retry_budget, config.retry_budget_ratio,
-                    config.retry_budget_burst),
+      retry_budget_(config.retry_budget, kRetryBudgetRatio, kRetryBudgetBurst),
       injector_(sim, config.fault_plan, config.fault_seed) {
   FW_CHECK(!hosts.empty());
   FW_CHECK(config.workers_per_host > 0);
-  FW_CHECK(config.max_attempts >= 1);
   // Attribute the shared simulation's dispatch cost to the cluster profiler
   // (disabled by default: one branch per event until someone Enables it).
   sim_.set_profiler(&obs_.profiler());
@@ -39,24 +106,12 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   FW_CHECK(config.num_zones >= 1);
   hosts_.reserve(hosts.size());
   for (size_t i = 0; i < hosts.size(); ++i) {
-    auto hs = std::make_unique<HostState>();
-    hs->host = std::move(hosts[i]);
-    hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
     // Initial hosts stripe over the zones; later joins fill the emptiest.
-    hs->zone = static_cast<int>(i) % config_.num_zones;
-    hosts_.push_back(std::move(hs));
-    fleet_ledger_.OnProvision(static_cast<int>(i), sim.Now());
+    (void)NewHostState(std::move(hosts[i]), static_cast<int>(i) % config_.num_zones,
+                       HostLifecycle::kActive);
   }
-  for (int i = 0; i < static_cast<int>(hosts_.size()); ++i) {
-    for (int w = 0; w < config_.workers_per_host; ++w) {
-      sim_.Spawn(Worker(i));
-    }
-    if (config_.autoscale) {
-      sim_.Spawn(Autoscaler(i));
-    }
-    if (config_.health_checks) {
-      sim_.Spawn(Heartbeater(i));
-    }
+  for (int i = 0; i < num_hosts(); ++i) {
+    SpawnHostServices(i);
   }
   sim_.Spawn(Sampler());
   // Every elastic-fleet service is gated so a default config spawns nothing
@@ -68,7 +123,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
         std::make_unique<FleetPlanner>(config_.fleet, config_.workers_per_host);
     sim_.Spawn(FleetAutoscaler());
   }
-  if (config_.num_zones > 1 && config_.zone_spread && config_.autoscale) {
+  if (config_.num_zones > 1 && config_.autoscale) {
     sim_.Spawn(ZoneSpreader());
   }
   if (config_.fault_plan.spec(fwfault::FaultKind::kZoneOutage).enabled()) {
@@ -79,6 +134,29 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
 Cluster::~Cluster() { Shutdown(); }
 
 void Cluster::Shutdown() { running_ = false; }
+
+int Cluster::NewHostState(std::unique_ptr<ClusterHost> host, int zone,
+                          HostLifecycle lifecycle) {
+  const int index = num_hosts();
+  auto hs = std::make_unique<HostState>();
+  hs->host = std::move(host);
+  hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
+  hs->zone = zone;
+  hs->lifecycle = lifecycle;
+  hosts_.push_back(std::move(hs));
+  fleet_ledger_.OnProvision(index, sim_.Now());
+  return index;
+}
+
+void Cluster::SpawnHostServices(int host_index) {
+  for (int w = 0; w < config_.workers_per_host; ++w) {
+    sim_.Spawn(Worker(host_index));
+  }
+  if (config_.autoscale) {
+    sim_.Spawn(Autoscaler(host_index));
+  }
+  sim_.Spawn(Heartbeater(host_index));
+}
 
 fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
@@ -130,18 +208,14 @@ std::vector<HostView> Cluster::Views() {
       views[i].alive = false;
       continue;
     }
-    if (config_.health_checks) {
-      // Detected state: what heartbeats + data-path evidence support, not
-      // what the fault bookkeeping knows. A freshly crashed host looks alive
-      // until it misses heartbeats or bounces a request.
-      ApplyTransition(h, health_->Evaluate(h, now));
-      const HealthState state = health_->state(h);
-      views[i].alive = state != HealthState::kDead;
-      views[i].suspect = state == HealthState::kSuspect;
-      views[i].pressured = health_->pressured(h);
-    } else {
-      views[i].alive = hs.alive && now >= hs.partitioned_until;
-    }
+    // Detected state: what heartbeats + data-path evidence support, not what
+    // the fault bookkeeping knows. A freshly crashed host looks alive until
+    // it misses heartbeats or bounces a request.
+    CountTransition(health_.Evaluate(h, now));
+    const HealthState state = health_.state(h);
+    views[i].alive = state != HealthState::kDead;
+    views[i].suspect = state == HealthState::kSuspect;
+    views[i].pressured = health_.pressured(h);
   }
   return views;
 }
@@ -149,7 +223,7 @@ std::vector<HostView> Cluster::Views() {
 uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
                          Duration deadline) {
   Request req;
-  const uint64_t id = ++submitted_;
+  const uint64_t id = outcomes_.size() + 1;
   req.id = id;
   req.fn = fn_name;
   req.args = args;
@@ -163,12 +237,11 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   outcomes_.emplace_back();
   outcomes_.back().fn = fn_name;
   primary_host_.push_back(-1);
-  hedged_.push_back(0);
   // Demand signals for the fleet planner and the zone spreader (pure
   // bookkeeping; both loops are gated off in a default config).
   ++fleet_tick_arrivals_;
   ++spread_arrivals_[fn_name];
-  obs_.metrics().GetCounter("cluster.submitted").Increment();
+  counters_.submitted.Increment();
   if (config_.hedging) {
     sim_.Spawn(Hedger(id, fn_name, args, req.submitted, req.deadline));
   }
@@ -206,8 +279,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     if (req.hedge) {
       // A hedge copy that cannot be placed is simply abandoned — the primary
       // still owns the request's outcome.
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      counters_.hedge_discards.Increment();
       return;
     }
     RecordFailure(req, Status::Unavailable("no schedulable host"));
@@ -217,8 +289,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
   const Status admit = admission_.Admit(target, static_cast<int64_t>(hs.queue->size()),
                                         sim_.Now(), req.deadline);
   if (!admit.ok()) {
-    ++shed_;
-    obs_.metrics().GetCounter("cluster.shed").Increment();
+    counters_.shed.Increment();
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.shed", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(target));
@@ -226,8 +297,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
     }
     if (req.hedge) {
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      counters_.hedge_discards.Increment();
       return;
     }
     RecordFailure(req, admit);
@@ -245,10 +315,9 @@ void Cluster::Dispatch(Request req, int exclude_host) {
 }
 
 void Cluster::RetryRequest(Request req, int failed_host) {
-  ++retries_;
+  counters_.retries.Increment();
   ++req.attempts;
-  obs_.metrics().GetCounter("cluster.retries").Increment();
-  if (req.attempts > config_.max_attempts) {
+  if (req.attempts > kMaxAttempts) {
     RecordFailure(req, Status::Unavailable("retry attempts exhausted"));
     return;
   }
@@ -256,8 +325,7 @@ void Cluster::RetryRequest(Request req, int failed_host) {
     // The app is already burning its budget on failures: abandoning the
     // retry keeps recovery traffic a bounded fraction of offered load
     // instead of a storm.
-    ++retry_budget_denied_;
-    obs_.metrics().GetCounter("cluster.retry_budget_denied").Increment();
+    counters_.retry_budget_denied.Increment();
     RecordFailure(req,
                   Status::ResourceExhausted("retry budget for " + req.fn + " exhausted"));
     return;
@@ -271,8 +339,7 @@ void Cluster::RecordFailure(const Request& req, Status status) {
   out.attempts = req.attempts;
   out.latency = sim_.Now() - req.submitted;
   ++out.completions;
-  ++failed_;
-  obs_.metrics().GetCounter("cluster.failed").Increment();
+  counters_.failed.Increment();
   slo_.Record(req.fn, /*good=*/false);
 }
 
@@ -288,50 +355,36 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
   out.warm_hit = warm_hit;
   out.request_id = result.exec_stats.request_id;
   ++out.completions;
-  ++completed_;
+  counters_.completed.Increment();
   latency_ms_.Add(out.latency.millis());
-  if (recent_latency_ms_.size() < static_cast<size_t>(config_.hedge_window)) {
+  if (recent_latency_ms_.size() < kHedgeWindow) {
     recent_latency_ms_.push_back(out.latency.millis());
   } else {
     recent_latency_ms_[recent_latency_next_] = out.latency.millis();
     recent_latency_next_ = (recent_latency_next_ + 1) % recent_latency_ms_.size();
   }
   startup_ms_.Add(result.startup.millis());
-  obs_.metrics().GetCounter("cluster.completed").Increment();
   slo_.Record(req.fn, /*good=*/out.latency <= config_.slo.target);
   if (warm_hit) {
-    obs_.metrics().GetCounter("cluster.warm_hits").Increment();
+    counters_.warm_hits.Increment();
   }
   if (req.hedge) {
-    ++hedge_wins_;
-    obs_.metrics().GetCounter("cluster.hedge_wins").Increment();
+    counters_.hedge_wins.Increment();
   }
 }
 
-void Cluster::ReportHostFailure(int host_index) {
-  if (!config_.health_checks) {
-    return;
-  }
-  // Connection-refused analog: no need to wait out phi when the data path
-  // already proved the host gone.
-  ApplyTransition(host_index, health_->ReportFailure(host_index));
-}
-
-void Cluster::ApplyTransition(int host_index, HealthTransition transition) {
+void Cluster::CountTransition(HealthTransition transition) {
   switch (transition) {
     case HealthTransition::kNone:
       return;
     case HealthTransition::kSuspected:
-      ++suspects_;
-      obs_.metrics().GetCounter("cluster.suspects").Increment();
+      counters_.suspects.Increment();
       return;
     case HealthTransition::kDied:
-      ++detector_deaths_;
-      obs_.metrics().GetCounter("cluster.detector_deaths").Increment();
+      counters_.detector_deaths.Increment();
       return;
     case HealthTransition::kReinstated:
-      ++reinstated_;
-      obs_.metrics().GetCounter("cluster.reinstated").Increment();
+      counters_.reinstated.Increment();
       return;
   }
 }
@@ -345,13 +398,13 @@ double Cluster::PssFraction(int host_index) const {
 }
 
 Duration Cluster::HedgeDelay() const {
-  if (static_cast<int64_t>(recent_latency_ms_.size()) >= config_.hedge_min_samples) {
+  if (static_cast<int64_t>(recent_latency_ms_.size()) >= kHedgeMinSamples) {
     // Nearest-rank quantile over the recent-latency ring (order within the
     // ring is irrelevant to a quantile).
     std::vector<double> window = recent_latency_ms_;
     const size_t rank = std::min(
         window.size() - 1,
-        static_cast<size_t>(config_.hedge_quantile / 100.0 *
+        static_cast<size_t>(kHedgeQuantile / 100.0 *
                             static_cast<double>(window.size())));
     std::nth_element(window.begin(), window.begin() + rank, window.end());
     const Duration observed = Duration::MillisF(window[rank]);
@@ -365,12 +418,10 @@ Duration Cluster::HedgeDelay() const {
 fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
                                 fwbase::SimTime submitted, fwbase::SimTime deadline) {
   co_await fwsim::Delay(sim_, HedgeDelay());
-  if (!running_ || Terminal(id) || hedged_[id - 1] != 0) {
+  if (!running_ || Terminal(id)) {
     co_return;
   }
-  hedged_[id - 1] = 1;
-  ++hedges_;
-  obs_.metrics().GetCounter("cluster.hedges").Increment();
+  counters_.hedges.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "cluster.hedge", "cluster");
     span.SetAttribute("request", id);
@@ -396,18 +447,18 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // heap-allocated — AddHost only push_backs unique_ptrs — so `hs`
       // stays stable across suspensions and fleet growth.)
       --hs.inflight;
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+      counters_.hedge_discards.Increment();
       continue;
     }
     if (!hs.alive) {
       // The host died with this request still queued: bounce it back to the
-      // front end. (Not a zombie — it never started.)
+      // front end. (Not a zombie — it never started.) Connection-refused
+      // analog: no need to wait out phi when the data path already proved
+      // the host gone.
       --hs.inflight;
-      ReportHostFailure(host_index);
+      CountTransition(health_.ReportFailure(host_index));
       if (req.hedge) {
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+        counters_.hedge_discards.Increment();
         continue;
       }
       RetryRequest(std::move(req), host_index);
@@ -418,8 +469,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // the queue stalled behind a slow host): drop it now instead of
       // burning a worker on a response nobody is waiting for.
       --hs.inflight;
-      ++expired_;
-      obs_.metrics().GetCounter("cluster.expired").Increment();
+      counters_.expired.Increment();
       if (!req.hedge) {
         RecordFailure(req, Status::DeadlineExceeded("request expired in dispatch queue"));
       }
@@ -490,32 +540,23 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Zombie: the host crashed while this invocation was in flight. The
       // result (if any) is discarded and the request retried elsewhere —
       // never both, so completions stay exactly-once.
-      ++zombie_discards_;
-      obs_.metrics().GetCounter("cluster.zombie_discards").Increment();
-      ReportHostFailure(host_index);
+      counters_.zombie_discards.Increment();
+      CountTransition(health_.ReportFailure(host_index));
       if (req.hedge || Terminal(req.id)) {
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+        counters_.hedge_discards.Increment();
         continue;
       }
       RetryRequest(std::move(req), host_index);
       continue;
     }
-    if (Terminal(req.id)) {
-      // The other copy won while this one was executing: first recorded
-      // completion stands, this result is discarded unrecorded.
-      ++hedge_discards_;
-      obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
+    if (Terminal(req.id) || (!result.ok() && req.hedge)) {
+      // The other copy won while this one was executing (the first recorded
+      // completion stands), or a hedge copy failed (hedge copies never drive
+      // terminal failures; the primary owns the outcome): discard unrecorded.
+      counters_.hedge_discards.Increment();
       continue;
     }
     if (!result.ok()) {
-      if (req.hedge) {
-        // Hedge copies never drive terminal failures; the primary is still
-        // in flight and owns the outcome.
-        ++hedge_discards_;
-        obs_.metrics().GetCounter("cluster.hedge_discards").Increment();
-        continue;
-      }
       // The platform exhausted its own recovery (internal retries + cold-boot
       // fallback): surface the failure rather than retrying endlessly.
       RecordFailure(req, result.status());
@@ -529,7 +570,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // still trims the pool when the app's rate drops.
       const int pending = static_cast<int>(hs.host->PooledClones(req.fn)) +
                           hs.preparing[req.fn];
-      if (pending < config_.max_pool_per_app) {
+      if (pending < kMaxPoolPerApp) {
         ++hs.preparing[req.fn];
         sim_.Spawn(PrepareOne(host_index, req.fn, hs.epoch));
       }
@@ -545,8 +586,7 @@ fwsim::Co<void> Cluster::Heartbeater(int host_index) {
     // beats that got through. A decommissioned host stops beating for good.
     if (hs.alive && sim_.Now() >= hs.partitioned_until &&
         !injector_.Trip(fwfault::FaultKind::kHeartbeatLoss)) {
-      ApplyTransition(host_index,
-                      health_->Heartbeat(host_index, sim_.Now(), PssFraction(host_index)));
+      CountTransition(health_.Heartbeat(host_index, sim_.Now(), PssFraction(host_index)));
     }
     co_await fwsim::Delay(sim_, config_.health.heartbeat_interval);
   }
@@ -554,9 +594,8 @@ fwsim::Co<void> Cluster::Heartbeater(int host_index) {
 
 fwsim::Co<void> Cluster::Autoscaler(int host_index) {
   HostState& hs = *hosts_[host_index];
-  const double interval_s = config_.autoscale_interval.seconds();
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.autoscale_interval);
+    co_await fwsim::Delay(sim_, kAutoscaleInterval);
     if (!running_) {
       break;
     }
@@ -569,7 +608,7 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
       hs.arrivals.clear();
       continue;
     }
-    if (config_.health_checks && health_->pressured(host_index)) {
+    if (health_.pressured(host_index)) {
       // Brownout: shed the parked clones (reclaimable memory) before the
       // host OOMs, and skip growth this tick. The scheduler is already
       // steering new work away via the pressured view bit.
@@ -578,26 +617,19 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
           if (!hs.host->DiscardClone(app).ok()) {
             break;
           }
-          ++brownout_discards_;
-          obs_.metrics().GetCounter("cluster.brownout_discards").Increment();
+          counters_.brownout_discards.Increment();
         }
       }
       hs.arrivals.clear();
       continue;
     }
     for (const std::string& app : installed_) {
-      const auto ait = hs.arrivals.find(app);
-      const double observed =
-          (ait == hs.arrivals.end() ? 0.0 : static_cast<double>(ait->second)) / interval_s;
-      double& ewma = hs.rate_ewma[app];
-      ewma = config_.autoscale_ewma_alpha * observed +
-             (1.0 - config_.autoscale_ewma_alpha) * ewma;
+      const double ewma = TickRateEwma(hs.arrivals, hs.rate_ewma, app);
       // Little's law: cover the arrivals that land while a replacement clone
       // is being prepared, with safety headroom.
       const int target = std::min(
-          config_.max_pool_per_app,
-          static_cast<int>(
-              std::ceil(ewma * hs.prepare_seconds_ewma * config_.autoscale_safety)));
+          kMaxPoolPerApp,
+          static_cast<int>(std::ceil(ewma * hs.prepare_seconds_ewma * kAutoscaleSafety)));
       const int deficit = target - static_cast<int>(hs.host->PooledClones(app)) -
                           hs.preparing[app];
       for (int k = 0; k < deficit; ++k) {
@@ -636,7 +668,7 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t ep
 
 fwsim::Co<void> Cluster::Sampler() {
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.sample_interval);
+    co_await fwsim::Delay(sim_, kSampleInterval);
     if (!running_) {
       break;
     }
@@ -677,12 +709,12 @@ void Cluster::Drain(uint64_t until_terminal) {
   // Instead: abort once simulated time advances drain_stall_timeout past the
   // last new submission or terminal outcome.
   uint64_t last_terminal = terminal();
-  uint64_t last_submitted = submitted_;
+  uint64_t last_submitted = submitted();
   fwbase::SimTime last_progress = sim_.Now();
   while (terminal() < until_terminal && sim_.StepOne()) {
-    if (terminal() != last_terminal || submitted_ != last_submitted) {
+    if (terminal() != last_terminal || submitted() != last_submitted) {
       last_terminal = terminal();
-      last_submitted = submitted_;
+      last_submitted = submitted();
       last_progress = sim_.Now();
     } else if (sim_.Now() - last_progress > config_.drain_stall_timeout) {
       FW_CHECK_MSG(
@@ -692,7 +724,7 @@ void Cluster::Drain(uint64_t until_terminal) {
               "progress for %.0fs of simulated time — until_terminal exceeds what "
               "this workload will ever produce",
               static_cast<unsigned long long>(until_terminal),
-              static_cast<unsigned long long>(submitted_),
+              static_cast<unsigned long long>(submitted()),
               static_cast<unsigned long long>(terminal()),
               config_.drain_stall_timeout.seconds())
               .c_str());
@@ -715,7 +747,7 @@ void Cluster::CrashHost(int host) {
   hs.host->DropWarmPool();
   hs.arrivals.clear();
   hs.rate_ewma.clear();
-  obs_.metrics().GetCounter("cluster.host_crashes").Increment();
+  counters_.host_crashes.Increment();
 }
 
 void Cluster::RestartHost(int host) {
@@ -734,20 +766,19 @@ void Cluster::RestartHost(int host) {
   }
   // The detector reinstates the host on its next heartbeat, not here: a
   // restart the front end has no evidence for does not exist yet.
-  obs_.metrics().GetCounter("cluster.host_restarts").Increment();
+  counters_.host_restarts.Increment();
 }
 
 void Cluster::PartitionHost(int host, Duration duration) {
   FW_CHECK(host >= 0 && host < num_hosts());
   HostState& hs = *hosts_[host];
   hs.partitioned_until = std::max(hs.partitioned_until, sim_.Now() + duration);
-  obs_.metrics().GetCounter("cluster.host_partitions").Increment();
+  counters_.host_partitions.Increment();
 }
 
 void Cluster::KillZone(int zone) {
   FW_CHECK(zone >= 0 && zone < config_.num_zones);
-  ++zone_outages_;
-  obs_.metrics().GetCounter("cluster.zone_outages").Increment();
+  counters_.zone_outages.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.zone_outage", "cluster");
     span.SetAttribute("zone", static_cast<uint64_t>(zone));
@@ -813,33 +844,15 @@ int Cluster::AddHost(std::unique_ptr<ClusterHost> host, int zone) {
     zone = PickJoinZone(per_zone);
   }
   FW_CHECK(zone >= 0 && zone < config_.num_zones);
-  const int index = static_cast<int>(hosts_.size());
-  auto hs = std::make_unique<HostState>();
-  hs->host = std::move(host);
-  hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
-  hs->zone = zone;
-  hs->lifecycle = HostLifecycle::kJoining;
-  hosts_.push_back(std::move(hs));
+  const int index = NewHostState(std::move(host), zone, HostLifecycle::kJoining);
   // Grow every per-host control-plane table alongside the host list.
-  if (config_.health_checks) {
-    health_->AddHost(sim_.Now());
-  }
+  health_.AddHost(sim_.Now());
   admission_.AddHost();
   if (distribution_ != nullptr) {
     distribution_->AddHost();
   }
-  for (int w = 0; w < config_.workers_per_host; ++w) {
-    sim_.Spawn(Worker(index));
-  }
-  if (config_.autoscale) {
-    sim_.Spawn(Autoscaler(index));
-  }
-  if (config_.health_checks) {
-    sim_.Spawn(Heartbeater(index));
-  }
-  fleet_ledger_.OnProvision(index, sim_.Now());
-  ++hosts_added_;
-  obs_.metrics().GetCounter("cluster.hosts_added").Increment();
+  SpawnHostServices(index);
+  counters_.hosts_added.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.join", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(index));
@@ -871,8 +884,8 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
       co_await distribution_->WarmRestore(host_index, app);
     }
-    for (int k = 0; k < config_.join_warm_clones; ++k) {
-      if (static_cast<int>(hs.host->PooledClones(app)) >= config_.max_pool_per_app) {
+    for (int k = 0; k < kJoinWarmClones; ++k) {
+      if (static_cast<int>(hs.host->PooledClones(app)) >= kMaxPoolPerApp) {
         break;
       }
       Status s = co_await hs.host->PrepareClone(app);
@@ -890,7 +903,7 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
   // not leave; the detector excludes the host until it heartbeats again.
   hs.lifecycle = HostLifecycle::kActive;
   scheduler_->OnHostJoin(host_index);
-  obs_.metrics().GetCounter("cluster.hosts_admitted").Increment();
+  counters_.hosts_admitted.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.admit", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host_index));
@@ -909,8 +922,7 @@ void Cluster::RemoveHost(int host) {
   // queue and inflight work through the normal completion path.
   hs.lifecycle = HostLifecycle::kDraining;
   scheduler_->OnHostLeave(host);
-  ++hosts_removed_;
-  obs_.metrics().GetCounter("cluster.hosts_removed").Increment();
+  counters_.hosts_removed.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.drain", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host));
@@ -953,7 +965,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       HostState& ts = *hosts_[target];
       const int pending =
           static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
-      if (pending < config_.max_pool_per_app) {
+      if (pending < kMaxPoolPerApp) {
         ++ts.preparing[app];
         sim_.Spawn(PrepareOne(target, app, ts.epoch));
       }
@@ -962,7 +974,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // Bleed: inflight covers both queued and executing requests, and the
   // scheduler stopped feeding this host when it left the ring.
   while (hs.inflight > 0) {
-    co_await fwsim::Delay(sim_, config_.sample_interval);
+    co_await fwsim::Delay(sim_, kSampleInterval);
   }
   // Teardown. The epoch bump first: any PrepareOne still in flight for this
   // host discards its clone on completion instead of parking it on capacity
@@ -974,7 +986,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   hs.arrivals.clear();
   hs.rate_ewma.clear();
   fleet_ledger_.OnRemove(host_index, sim_.Now());
-  obs_.metrics().GetCounter("cluster.hosts_decommissioned").Increment();
+  counters_.hosts_decommissioned.Increment();
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "fleet.removed", "cluster");
     span.SetAttribute("host", static_cast<uint64_t>(host_index));
@@ -983,9 +995,8 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
 }
 
 fwsim::Co<void> Cluster::ZoneSpreader() {
-  const double interval_s = config_.autoscale_interval.seconds();
   while (running_) {
-    co_await fwsim::Delay(sim_, config_.autoscale_interval);
+    co_await fwsim::Delay(sim_, kAutoscaleInterval);
     if (!running_) {
       break;
     }
@@ -997,13 +1008,7 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
       }
     }
     for (const std::string& app : installed_) {
-      const auto ait = spread_arrivals_.find(app);
-      const double observed =
-          (ait == spread_arrivals_.end() ? 0.0 : static_cast<double>(ait->second)) /
-          interval_s;
-      double& ewma = spread_rate_ewma_[app];
-      ewma = config_.autoscale_ewma_alpha * observed +
-             (1.0 - config_.autoscale_ewma_alpha) * ewma;
+      const double ewma = TickRateEwma(spread_arrivals_, spread_rate_ewma_, app);
       if (alive_zones.size() < 2 || ewma <= 1e-6) {
         // One zone left (nothing to spread to) or the app carries no
         // traffic (nothing worth keeping warm twice).
@@ -1051,9 +1056,12 @@ fwsim::Co<void> Cluster::FleetAutoscaler() {
       for (int k = 0; k < delta; ++k) {
         AddHost();
       }
-    } else if (delta < 0) {
+    } else if (delta < 0 && active_hosts() > 1) {
       // Scale down from the most-populated zone (preserving spread), least
       // inflight first so the drain is short. Ties keep the lowest index.
+      // `provisioned` counts joining and warming hosts, so a low tick right
+      // after a scale-up could otherwise drain the last host able to serve
+      // while its replacements are still warming.
       std::vector<int> per_zone(static_cast<size_t>(config_.num_zones), 0);
       for (const auto& other : hosts_) {
         if (other->lifecycle == HostLifecycle::kActive && other->alive) {
@@ -1094,8 +1102,10 @@ fwsim::Co<void> Cluster::ZoneOutageLoop() {
       continue;
     }
     // Round-robin over zones so repeated trips exercise every failure
-    // domain; zone_outages_ counts KillZone calls, so read it pre-kill.
-    const int zone = static_cast<int>(zone_outages_ % static_cast<uint64_t>(config_.num_zones));
+    // domain; the zone_outages counter counts KillZone calls, so read it
+    // pre-kill.
+    const int zone = static_cast<int>(counters_.zone_outages.value() %
+                                      static_cast<uint64_t>(config_.num_zones));
     KillZone(zone);
     sim_.Spawn(RestoreZoneAfter(zone, config_.zone_outage_duration));
   }
@@ -1115,24 +1125,24 @@ const Cluster::Outcome& Cluster::outcome(uint64_t id) const {
 
 Cluster::Rollup Cluster::ComputeRollup() const {
   Rollup r;
-  r.submitted = submitted_;
-  r.completed = completed_;
-  r.failed = failed_;
-  r.retries = retries_;
-  r.zombie_discards = zombie_discards_;
+  r.submitted = submitted();
+  r.completed = counters_.completed.value();
+  r.failed = counters_.failed.value();
+  r.retries = counters_.retries.value();
+  r.zombie_discards = counters_.zombie_discards.value();
   for (const auto& hs : hosts_) {
     r.warm_hits += hs->host->warm_hits();
   }
-  r.shed = shed_;
-  r.expired = expired_;
-  r.retry_budget_denied = retry_budget_denied_;
-  r.hedges = hedges_;
-  r.hedge_wins = hedge_wins_;
-  r.hedge_discards = hedge_discards_;
-  r.suspects = suspects_;
-  r.detector_deaths = detector_deaths_;
-  r.reinstated = reinstated_;
-  r.brownout_discards = brownout_discards_;
+  r.shed = counters_.shed.value();
+  r.expired = counters_.expired.value();
+  r.retry_budget_denied = counters_.retry_budget_denied.value();
+  r.hedges = counters_.hedges.value();
+  r.hedge_wins = counters_.hedge_wins.value();
+  r.hedge_discards = counters_.hedge_discards.value();
+  r.suspects = counters_.suspects.value();
+  r.detector_deaths = counters_.detector_deaths.value();
+  r.reinstated = counters_.reinstated.value();
+  r.brownout_discards = counters_.brownout_discards.value();
   r.latency_ms = latency_ms_;
   r.startup_ms = startup_ms_;
   r.peak_pss_bytes = peak_pss_bytes_;
@@ -1142,9 +1152,9 @@ Cluster::Rollup Cluster::ComputeRollup() const {
   r.slo_alerts = slo_.alerts();
   r.slo_attainment = slo_.Attainment();
   r.slo_worst_attainment = slo_.WorstAttainment();
-  r.hosts_added = hosts_added_;
-  r.hosts_removed = hosts_removed_;
-  r.zone_outages = zone_outages_;
+  r.hosts_added = counters_.hosts_added.value();
+  r.hosts_removed = counters_.hosts_removed.value();
+  r.zone_outages = counters_.zone_outages.value();
   r.host_hours = fleet_ledger_.HostHours(sim_.Now());
   if (distribution_ != nullptr) {
     r.distribution = distribution_->stats();

@@ -19,7 +19,9 @@
 //   * Liveness is detected, not known: hosts heartbeat into a phi-accrual
 //     FailureDetector; data-path errors (bounced queues, stale-epoch
 //     zombies) short-circuit detection. A suspect host is deprioritized, a
-//     dead one excluded, and a heartbeat reinstates either.
+//     dead one excluded, and a heartbeat reinstates either. The front end
+//     never consults the fault bookkeeping for placement; alive() exposes
+//     it as ground truth for tests.
 //   * CrashHost stops the host's heartbeats, bumps its epoch, and drops its
 //     parked clones (they lived in host memory). Queued requests are bounced
 //     back to the front end. In-flight invocations cannot be cancelled —
@@ -48,6 +50,12 @@
 // absorb the redirected load under admission control. With Config::fleet
 // enabled, a capacity autoscaler grows and shrinks the host count from the
 // same Little's-law signals the warm-pool autoscaler uses.
+//
+// Statistics: every cluster.* counter in obs().metrics() is the only store
+// of its statistic (resolved once, at construction); Rollup is a view over
+// those counters plus the hosts' own figures. Control-loop settings that no
+// deployment tunes (autoscaler cadence and smoothing, retry budget shape,
+// hedge trigger window) are named constants in cluster.cc.
 #ifndef FIREWORKS_SRC_CLUSTER_CLUSTER_H_
 #define FIREWORKS_SRC_CLUSTER_CLUSTER_H_
 
@@ -81,23 +89,12 @@ class Cluster {
     Config() {}
 
     SchedulerPolicy policy = SchedulerPolicy::kSnapshotLocality;
-    int vnodes_per_host = 64;
     // Dispatch worker coroutines per host: the host-level concurrency cap.
     int workers_per_host = 32;
-    // Front-end retries per request (crash recovery), counting the first try.
-    int max_attempts = 4;
 
     // Warm-pool autoscaler: per host × app, target pool size from Little's
     // law over an EWMA of the observed per-app arrival rate at that host.
     bool autoscale = true;
-    Duration autoscale_interval = Duration::Seconds(1);
-    double autoscale_ewma_alpha = 0.3;
-    double autoscale_safety = 1.5;
-    int max_pool_per_app = 8;
-
-    // Sampling period for the cluster-wide memory/density gauges, the
-    // fleet-wide rollup gauges, and the SLO monitor's bucket ring.
-    Duration sample_interval = Duration::Millis(250);
 
     // Per-app latency SLO + multi-window burn-rate alerting (slo.h). Always
     // on: recording is pure bookkeeping off outcomes the front end already
@@ -105,29 +102,18 @@ class Cluster {
     SloConfig slo;
 
     // --- Overload control & health (DESIGN.md §11) -----------------------
-    // Heartbeat-driven failure detection. When false the front end falls
-    // back to the omniscient oracle (its own fault bookkeeping) — kept for
-    // A/B runs; production-shaped configs leave this on.
-    bool health_checks = true;
+    // Heartbeat-driven failure detection.
     HealthConfig health;
     // Bounded dispatch queues + deadline-aware shedding at enqueue.
     AdmissionConfig admission;
     // Per-app token-bucket retry budget (crash-recovery retries spend one
-    // token; accepted first attempts deposit retry_budget_ratio).
+    // token; accepted first attempts deposit a fraction of one).
     bool retry_budget = true;
-    double retry_budget_ratio = 0.1;
-    double retry_budget_burst = 10.0;
-    // Tail-latency hedging: after max(hedge_min_delay, observed
-    // hedge_quantile latency), re-dispatch a still-inflight request to a
-    // second host. First recorded completion wins.
+    // Tail-latency hedging: after max(hedge_min_delay, the recent P99
+    // latency), re-dispatch a still-inflight request to a second host. First
+    // recorded completion wins.
     bool hedging = false;
     Duration hedge_min_delay = Duration::Millis(20);
-    double hedge_quantile = 99.0;
-    int64_t hedge_min_samples = 50;
-    // The trigger quantile is computed over the last hedge_window completed
-    // latencies, so the delay tracks the current tail instead of staying
-    // inflated by every overload episode the run has ever seen.
-    int64_t hedge_window = 1024;
     // Snapshot distribution tier (DESIGN.md §13): registry + per-host chunk
     // caches + peer fetch + REAP working-set restore. Off by default — every
     // host is then assumed to hold every snapshot, the pre-tier model.
@@ -146,15 +132,11 @@ class Cluster {
     // --- Elastic fleet & zones (DESIGN.md §16) ---------------------------
     // Failure domains: initial host i lives in zone i % num_zones; hosts
     // added later join the least-populated zone. One zone = the pre-zone
-    // model (everything at zone 0, no spreading).
+    // model (everything at zone 0, no spreading). With >= 2 zones and the
+    // autoscaler on, a ZoneSpreader loop keeps at least one warm clone of
+    // every traffic-bearing app in a second zone (per
+    // Scheduler::WarmTargets), so a zone outage leaves warm capacity.
     int num_zones = 1;
-    // With >= 2 zones and the autoscaler on, a ZoneSpreader loop keeps at
-    // least one warm clone of every traffic-bearing app in a second zone
-    // (per Scheduler::WarmTargets), so a zone outage leaves warm capacity.
-    bool zone_spread = true;
-    // Warm clones parked per app during a cold host's join warm-up, before
-    // the host is admitted to the scheduler ring.
-    int join_warm_clones = 1;
     // Host-count autoscaling (fleet_manager.h). Requires host_factory.
     FleetConfig fleet;
     // Builds host number `index` for fleet growth; also used by AddHost()
@@ -167,6 +149,10 @@ class Cluster {
     Duration zone_outage_check_interval = Duration::Seconds(1);
     Duration zone_outage_duration = Duration::Seconds(5);
   };
+
+  // Front-end dispatch attempts per request (crash recovery), counting the
+  // first try.
+  static constexpr int kMaxAttempts = 4;
 
   // `hosts` are indexed by position; each must already schedule on `sim`.
   Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost>> hosts,
@@ -193,7 +179,7 @@ class Cluster {
   // spinning forever on the background services' event stream.
   void Drain(uint64_t until_terminal);
   // Drains everything submitted so far.
-  void DrainAll() { Drain(submitted_); }
+  void DrainAll() { Drain(submitted()); }
   // Stops the autoscaler/heartbeat/sampler loops so the event queue can
   // empty.
   void Shutdown();
@@ -211,7 +197,7 @@ class Cluster {
   // --- Elastic fleet (DESIGN.md §16) ---------------------------------------
   // Provisions a cold host into `zone` (or the least-populated zone when
   // negative). The host installs every app, warms its snapshot caches and
-  // parks join_warm_clones clones per app, and only then joins the
+  // parks one warm clone per app, and only then joins the
   // scheduler ring. Returns the new host index immediately; admission
   // happens asynchronously on the simulation. Uses `host` when given, else
   // Config::host_factory.
@@ -292,8 +278,8 @@ class Cluster {
 
   // Outcome of request `id` (valid once terminal).
   const Outcome& outcome(uint64_t id) const;
-  uint64_t submitted() const { return submitted_; }
-  uint64_t terminal() const { return completed_ + failed_; }
+  uint64_t submitted() const { return outcomes_.size(); }
+  uint64_t terminal() const { return counters_.completed.value() + counters_.failed.value(); }
   Rollup ComputeRollup() const;
 
   // Order-insensitive digest of every terminal outcome (id, host, attempts,
@@ -305,8 +291,8 @@ class Cluster {
   // Ground truth (the fault bookkeeping), not the detector's belief; tests
   // compare the two.
   bool alive(int i) const { return hosts_[i]->alive; }
-  // The failure detector's view (only meaningful with health_checks on).
-  const FailureDetector& detector() const { return *health_; }
+  // The failure detector's view: what placement acts on.
+  const FailureDetector& detector() const { return health_; }
   // Cluster-level observability (per-host metrics live on each FullHost's
   // own HostEnv). Enable obs().tracer() for cluster spans, obs().profiler()
   // for sim/wall hot-scope attribution (the ctor hooks it into the shared
@@ -356,6 +342,11 @@ class Cluster {
     double prepare_seconds_ewma = 0.05;
   };
 
+  // Appends a host's front-end state and opens its ledger interval; returns
+  // its index.
+  int NewHostState(std::unique_ptr<ClusterHost> host, int zone, HostLifecycle lifecycle);
+  // Spawns a host's dispatch workers, warm-pool autoscaler and heartbeater.
+  void SpawnHostServices(int host_index);
   // Non-const: consulting host views re-evaluates phi (suspect/dead
   // transitions happen at observation time, as they would in a control
   // plane polling its detector).
@@ -369,20 +360,20 @@ class Cluster {
   // hedges avoid the primary's host.
   void Dispatch(Request req, int exclude_host = -1);
   // Retry after a crash bounce / zombie discard: spends retry budget,
-  // respects max_attempts.
+  // respects kMaxAttempts.
   void RetryRequest(Request req, int failed_host);
   void RecordFailure(const Request& req, Status status);
   void RecordCompletion(const Request& req, const fwcore::InvocationResult& result,
                         int host_index, bool warm_hit);
-  // Data-path death evidence for the detector + transition bookkeeping.
-  void ReportHostFailure(int host_index);
-  void ApplyTransition(int host_index, HealthTransition transition);
+  // Counts a detector health transition.
+  void CountTransition(HealthTransition transition);
   double PssFraction(int host_index) const;
   // Quantile-based hedge trigger delay (hedge_min_delay until enough
   // completions have been observed).
   Duration HedgeDelay() const;
   fwsim::Co<void> Worker(int host_index);
   fwsim::Co<void> Heartbeater(int host_index);
+  // Spawned once per request by Submit(), so a request is hedged at most once.
   fwsim::Co<void> Hedger(uint64_t id, std::string fn, std::string args,
                          fwbase::SimTime submitted, fwbase::SimTime deadline);
   fwsim::Co<void> Autoscaler(int host_index);
@@ -403,7 +394,7 @@ class Cluster {
   // tear down (kDraining → kRemoved).
   fwsim::Co<void> DrainAndRemove(int host_index);
   // Keeps every traffic-bearing app's warm capacity spread over >= 2 zones
-  // (gated: only spawned with num_zones > 1, zone_spread, and autoscale).
+  // (gated: only spawned with num_zones > 1 and autoscale).
   fwsim::Co<void> ZoneSpreader();
   // Host-count autoscaler (gated on Config::fleet.enabled + host_factory).
   fwsim::Co<void> FleetAutoscaler();
@@ -411,14 +402,29 @@ class Cluster {
   fwsim::Co<void> ZoneOutageLoop();
   fwsim::Co<void> RestoreZoneAfter(int zone, fwbase::Duration delay);
 
+  // The cluster.* registry counters, resolved once: each is the only store of
+  // its statistic, and ComputeRollup() reads them.
+  struct Counters {
+    explicit Counters(fwobs::MetricsRegistry& metrics);
+
+    fwobs::Counter &submitted, &completed, &failed, &retries, &zombie_discards;
+    fwobs::Counter& warm_hits;  // Recorded completions seen as warm.
+    fwobs::Counter &shed, &expired, &retry_budget_denied;
+    fwobs::Counter &hedges, &hedge_wins, &hedge_discards;
+    fwobs::Counter &suspects, &detector_deaths, &reinstated, &brownout_discards;
+    fwobs::Counter &host_crashes, &host_restarts, &host_partitions, &zone_outages;
+    fwobs::Counter &hosts_added, &hosts_admitted, &hosts_removed, &hosts_decommissioned;
+  };
+
   fwsim::Simulation& sim_;
   Config config_;
   fwobs::Observability obs_;
+  Counters counters_;
   SloMonitor slo_;
   fwobs::ProfScopeId dispatch_scope_ = 0;
   fwobs::ProfScopeId invoke_scope_ = 0;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<FailureDetector> health_;
+  FailureDetector health_;
   AdmissionController admission_;
   RetryBudget retry_budget_;
   fwfault::FaultInjector injector_;
@@ -433,25 +439,6 @@ class Cluster {
   std::vector<fwlang::FunctionSource> installed_sources_;
   bool running_ = true;
 
-  uint64_t submitted_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t zombie_discards_ = 0;
-  uint64_t shed_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t retry_budget_denied_ = 0;
-  uint64_t hedges_ = 0;
-  uint64_t hedge_wins_ = 0;
-  uint64_t hedge_discards_ = 0;
-  uint64_t suspects_ = 0;
-  uint64_t detector_deaths_ = 0;
-  uint64_t reinstated_ = 0;
-  uint64_t brownout_discards_ = 0;
-  // Elastic fleet bookkeeping.
-  uint64_t hosts_added_ = 0;
-  uint64_t hosts_removed_ = 0;
-  uint64_t zone_outages_ = 0;
   std::unique_ptr<FleetPlanner> fleet_planner_;  // Only with fleet.enabled.
   FleetLedger fleet_ledger_;
   // Cluster-level Little's-law signals for the fleet planner: arrivals since
@@ -465,7 +452,6 @@ class Cluster {
   std::map<std::string, double> spread_rate_ewma_;
   std::vector<Outcome> outcomes_;  // Indexed by request id - 1.
   std::vector<int> primary_host_;  // Last host the primary copy went to.
-  std::vector<uint8_t> hedged_;    // 1 once a hedge copy was dispatched.
   // Ring of the most recent completed latencies, feeding HedgeDelay(). The
   // hedge trigger must track the *current* tail: a cumulative quantile stays
   // poisoned by a past overload episode long after the fleet recovers,

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/strings.h"
@@ -25,6 +26,7 @@ namespace {
 
 using fwbase::Duration;
 using fwtest::RunSync;
+using fwtest::TestCalibration;
 using fwwork::ArrivalProcess;
 
 std::vector<std::string> TestKeys(int n) {
@@ -336,20 +338,6 @@ TEST(LoadGenTest, SameSeedReplaysIdentically) {
 // scale).
 // ---------------------------------------------------------------------------
 
-HostCalibration TestCalibration() {
-  HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
-  cal.instance_pss_bytes = 50e6;
-  cal.pooled_clone_pss_bytes = 6e6;
-  return cal;
-}
-
 struct RunResult {
   uint64_t digest = 0;
   Cluster::Rollup rollup;
@@ -424,7 +412,6 @@ TEST(ClusterAutoscalerTest, SustainedLoadProducesWarmHits) {
   // should be served overwhelmingly from parked clones.
   EXPECT_GT(r.rollup.warm_hits, r.rollup.completed / 2);
 }
-
 
 // ---------------------------------------------------------------------------
 // Failure detector (health.h).
@@ -755,6 +742,114 @@ TEST(ClusterDrainDeathTest, BoundaryProgressRestartsTheStallWindow) {
   // (no early abort) and the guard fired a configured timeout after it.
   EXPECT_DEATH(drain_past_reset(),
                "Drain\\(3\\) stalled: 2 submitted, 2 terminal, and no progress for 2s");
+}
+
+// ---------------------------------------------------------------------------
+// Rollup pin: one seeded scenario that drives every front-end counter, with
+// exact values. A pure refactor of the cluster's bookkeeping must reproduce
+// these numbers, and the registry's cluster.* counters must agree with the
+// rollup for every statistic both report.
+// ---------------------------------------------------------------------------
+
+TEST(ClusterRollupPinTest, EveryCounterMatchesPinnedValuesAndTheRegistry) {
+  fwsim::Simulation sim(4242);
+  auto make_host = [](fwsim::Simulation& s, int index) -> std::unique_ptr<ClusterHost> {
+    ModelHost::Config mc;
+    mc.calibration = TestCalibration();
+    if (index == 5) {
+      // One small host: a parked clone plus a running instance cross the
+      // brownout threshold, so its pool is shed under pressure.
+      mc.memory_bytes = 60e6;
+    }
+    return std::make_unique<ModelHost>(s, index, mc);
+  };
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  for (int i = 0; i < 6; ++i) {
+    hosts.push_back(make_host(sim, i));
+  }
+  Cluster::Config cc;
+  cc.policy = SchedulerPolicy::kLeastLoaded;
+  cc.workers_per_host = 2;
+  cc.num_zones = 3;
+  cc.host_factory = make_host;
+  cc.hedging = true;
+  cc.hedge_min_delay = Duration::Millis(15);
+  cc.admission.queue_capacity = 4;
+  cc.admission.default_deadline = Duration::Millis(120);
+  cc.fault_plan.Set(fwfault::FaultKind::kHostSlowdown, 0.03);
+  cc.fault_plan.Set(fwfault::FaultKind::kHeartbeatLoss, 0.3);
+  cc.fault_seed = 4242;
+  cc.slow_host_mean_delay = Duration::Millis(150);
+  Cluster cluster(sim, std::move(hosts), cc);
+
+  fwwork::LoadGenConfig lg;
+  lg.arrival = ArrivalProcess::kBursty;
+  lg.rate_per_sec = 1500.0;
+  lg.num_apps = 6;
+  lg.seed = 4242;
+  fwwork::LoadGen gen(lg);
+  for (int a = 0; a < lg.num_apps; ++a) {
+    fwlang::FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency,
+                                                    fwlang::Language::kNodeJs);
+    fn.name = fwbase::StrFormat("app-%d", a);
+    FW_CHECK(RunSync(sim, cluster.InstallAll(fn)).ok());
+  }
+  // Membership and zone events on a fixed schedule: a zone outage and its
+  // recovery, one join, one decommission.
+  sim.Spawn([](fwsim::Simulation& s, Cluster& c) -> fwsim::Co<void> {
+    co_await fwsim::Delay(s, Duration::Millis(800));
+    c.KillZone(1);
+    co_await fwsim::Delay(s, Duration::Millis(600));
+    (void)c.AddHost();
+    co_await fwsim::Delay(s, Duration::Millis(600));
+    c.RestoreZone(1);
+    co_await fwsim::Delay(s, Duration::Millis(400));
+    c.RemoveHost(0);
+  }(sim, cluster));
+  constexpr int kInvocations = 5000;
+  sim.Spawn(DriveArrivals(sim, cluster, gen, kInvocations));
+  cluster.Drain(kInvocations);
+
+  const Cluster::Rollup r = cluster.ComputeRollup();
+  EXPECT_EQ(cluster.OutcomeDigest(), 0x39b6c1596e1855a7ull);
+  // Each statistic by its Rollup field and its registry counter,
+  // cluster.<name>, against the pinned value.
+  struct Pin {
+    const char* name;
+    uint64_t rollup;
+    uint64_t want;
+  };
+  const Pin pins[] = {
+      {"submitted", r.submitted, 5000},
+      {"completed", r.completed, 4140},
+      {"failed", r.failed, 860},
+      {"retries", r.retries, 12},
+      {"zombie_discards", r.zombie_discards, 4},
+      {"shed", r.shed, 930},
+      {"expired", r.expired, 38},
+      {"retry_budget_denied", r.retry_budget_denied, 0},
+      {"hedges", r.hedges, 151},
+      {"hedge_wins", r.hedge_wins, 4},
+      {"hedge_discards", r.hedge_discards, 150},
+      {"suspects", r.suspects, 1},
+      {"detector_deaths", r.detector_deaths, 2},
+      {"reinstated", r.reinstated, 3},
+      {"brownout_discards", r.brownout_discards, 24},
+      {"hosts_added", r.hosts_added, 1},
+      {"hosts_removed", r.hosts_removed, 1},
+      {"zone_outages", r.zone_outages, 1},
+  };
+  const fwobs::MetricsRegistry& metrics = cluster.obs().metrics();
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(pin.rollup, pin.want) << pin.name;
+    EXPECT_EQ(metrics.CounterValue(std::string("cluster.") + pin.name), pin.want) << pin.name;
+  }
+  // warm_hits differs by definition: the rollup sums the hosts' own warm-hit
+  // counts, the registry counts recorded completions during whose service
+  // the host's count rose (a concurrent warm hit on the same host counts for
+  // every request in flight there).
+  EXPECT_EQ(r.warm_hits, 3237u);
+  EXPECT_EQ(metrics.CounterValue("cluster.warm_hits"), 3387u);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ namespace {
 
 using fwbase::Duration;
 using fwtest::RunSync;
+using fwtest::TestCalibration;
 
 // ---------------------------------------------------------------------------
 // FleetPlanner: Little's-law host-count targets.
@@ -201,20 +202,6 @@ TEST(ZoneSchedulerTest, MaskingAZoneMovesOnlyThatZonesApps) {
 // ---------------------------------------------------------------------------
 // End-to-end lifecycle on model hosts.
 // ---------------------------------------------------------------------------
-
-HostCalibration TestCalibration() {
-  HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
-  cal.instance_pss_bytes = 50e6;
-  cal.pooled_clone_pss_bytes = 6e6;
-  return cal;
-}
 
 std::unique_ptr<ClusterHost> MakeModelHost(fwsim::Simulation& sim, int index) {
   ModelHost::Config mc;
@@ -408,6 +395,62 @@ TEST(ElasticFleetTest, FleetAutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
   const double elapsed_hours = (sim.Now() - fwbase::SimTime::Zero()).seconds() / 3600.0;
   EXPECT_GT(r.host_hours, elapsed_hours);
   EXPECT_LT(r.host_hours, cluster.num_hosts() * elapsed_hours);
+}
+
+// The fleet autoscaler counts joining and warming hosts as provisioned, so a
+// low tick right after a flash crowd's scale-up must still not drain the one
+// host able to serve while its replacements are warming: every dispatch in
+// that window would fail with "no schedulable host".
+TEST(ElasticFleetTest, ScaleDownNeverDrainsTheLastActiveHost) {
+  fwsim::Simulation sim(83);
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  hosts.push_back(MakeModelHost(sim, 0));
+  Cluster::Config cc;
+  cc.policy = SchedulerPolicy::kSnapshotLocality;
+  cc.num_zones = 3;
+  cc.host_factory = MakeModelHost;
+  // Joiners pull every snapshot through the registry before admission, so
+  // warm-up outlasts several planner ticks.
+  cc.distribution.enabled = true;
+  cc.fleet.enabled = true;
+  cc.fleet.interval = Duration::Millis(250);
+  cc.fleet.min_hosts = 1;
+  cc.fleet.max_hosts = 8;
+  cc.fleet.host_capacity = 2;
+  cc.fleet.rate_ewma_alpha = 1.0;
+  cc.fleet.scale_down_ticks = 1;
+  cc.fleet.max_add_per_tick = 4;
+  Cluster cluster(sim, std::move(hosts), cc);
+  constexpr int kApps = 32;
+  InstallApps(sim, cluster, kApps);
+
+  // A half-second flash crowd at 2000 req/s, then a 50 req/s trickle.
+  constexpr int kFlash = 1000;
+  constexpr int kTrickle = 200;
+  sim.Spawn([](fwsim::Simulation& s, Cluster& c) -> fwsim::Co<void> {
+    for (int i = 0; i < kFlash + kTrickle; ++i) {
+      (void)c.Submit(fwbase::StrFormat("app-%d", i % kApps), "{}");
+      co_await fwsim::Delay(s, Duration::Micros(i < kFlash ? 500 : 20000));
+    }
+  }(sim, cluster));
+  cluster.Drain(kFlash + kTrickle);
+  sim.Run();
+
+  const Cluster::Rollup r = cluster.ComputeRollup();
+  // The fleet grew for the flash and shrank again once the joiners were
+  // serving.
+  EXPECT_GT(r.hosts_added, 0u);
+  EXPECT_GT(r.hosts_removed, 0u);
+  EXPECT_EQ(r.completed + r.failed, static_cast<uint64_t>(kFlash + kTrickle));
+  uint64_t unschedulable = 0;
+  for (uint64_t id = 1; id <= r.submitted; ++id) {
+    const auto& status = cluster.outcome(id).status;
+    if (!status.ok() && status.message().find("no schedulable host") != std::string::npos) {
+      ++unschedulable;
+    }
+  }
+  EXPECT_EQ(unschedulable, 0u);
+  EXPECT_GE(cluster.active_hosts(), 1);
 }
 
 // ---------------------------------------------------------------------------

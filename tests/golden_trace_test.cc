@@ -169,16 +169,7 @@ fwsim::Co<void> DriveFixedSchedule(fwsim::Simulation& sim, fwcluster::Cluster& c
 
 TEST(GoldenTrace, ClusterFixedSchedule) {
   fwsim::Simulation sim(42);  // Fixed seed: the golden depends on it.
-  fwcluster::HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
-  cal.instance_pss_bytes = 50e6;
-  cal.pooled_clone_pss_bytes = 6e6;
+  const fwcluster::HostCalibration cal = fwtest::TestCalibration();
 
   std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;
   for (int i = 0; i < 2; ++i) {
@@ -304,14 +295,7 @@ fwsim::Co<void> DriveColdPair(fwsim::Simulation& sim, fwcluster::Cluster& cluste
 
 TEST(GoldenTrace, ClusterColdHostRegistryPull) {
   fwsim::Simulation sim(42);  // Fixed seed: the golden depends on it.
-  fwcluster::HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
+  fwcluster::HostCalibration cal = fwtest::TestCalibration();
   cal.jitter = 0.0;  // Phase timings in this golden are exact.
 
   std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;
@@ -382,14 +366,7 @@ fwsim::Co<void> DriveJoinSchedule(fwsim::Simulation& sim, fwcluster::Cluster& cl
 
 TEST(GoldenTrace, ClusterColdHostJoinWarmup) {
   fwsim::Simulation sim(42);  // Fixed seed: the golden depends on it.
-  fwcluster::HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
+  fwcluster::HostCalibration cal = fwtest::TestCalibration();
   cal.jitter = 0.0;  // Phase timings in this golden are exact.
 
   std::vector<std::unique_ptr<fwcluster::ClusterHost>> hosts;

@@ -27,6 +27,7 @@ namespace {
 
 using fwbase::Duration;
 using fwbase::SimTime;
+using fwtest::TestCalibration;
 
 // A profiler on a hand-cranked sim clock: every sim-time assertion below is
 // exact. (Wall time still comes from the real steady_clock; tests only
@@ -362,20 +363,6 @@ TEST(SloMonitorTest, PerAppIsolation) {
 // ---------------------------------------------------------------------------
 // The determinism contract: profiling is pure observation.
 // ---------------------------------------------------------------------------
-
-fwcluster::HostCalibration TestCalibration() {
-  fwcluster::HostCalibration cal;
-  cal.cold_startup = Duration::Millis(17);
-  cal.cold_exec = Duration::Millis(3);
-  cal.cold_others = Duration::Millis(1);
-  cal.warm_startup = Duration::Micros(1600);
-  cal.warm_exec = Duration::Millis(3);
-  cal.warm_others = Duration::Micros(400);
-  cal.prepare_cost = Duration::Millis(16);
-  cal.instance_pss_bytes = 50e6;
-  cal.pooled_clone_pss_bytes = 6e6;
-  return cal;
-}
 
 fwsim::Co<void> DriveArrivals(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
                               fwwork::LoadGen& gen, int count) {

@@ -1,5 +1,6 @@
-// Shared helpers for driving coroutines to completion inside tests, plus the
-// per-test simulation fixture.
+// Shared helpers for driving coroutines to completion inside tests, the
+// per-test simulation fixture, and the ModelHost calibration the cluster-level
+// suites share.
 #ifndef FIREWORKS_TESTS_TEST_UTIL_H_
 #define FIREWORKS_TESTS_TEST_UTIL_H_
 
@@ -8,6 +9,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/base/units.h"
+#include "src/cluster/host.h"
 #include "src/simcore/run_sync.h"
 #include "src/simcore/simulation.h"
 
@@ -45,6 +48,24 @@ class SimTest : public ::testing::Test {
 
   fwsim::Simulation sim_;
 };
+
+// A hand-written ModelHost calibration shaped like a Fireworks Node.js host:
+// ~21 ms cold path, ~5 ms warm (parked-clone) path, 16 ms clone preparation,
+// and CoW-shared marginal PSS. Cluster tests use it instead of running
+// CalibratePlatform, which would tie them to full-fidelity timings.
+inline fwcluster::HostCalibration TestCalibration() {
+  fwcluster::HostCalibration cal;
+  cal.cold_startup = fwbase::Duration::Millis(17);
+  cal.cold_exec = fwbase::Duration::Millis(3);
+  cal.cold_others = fwbase::Duration::Millis(1);
+  cal.warm_startup = fwbase::Duration::Micros(1600);
+  cal.warm_exec = fwbase::Duration::Millis(3);
+  cal.warm_others = fwbase::Duration::Micros(400);
+  cal.prepare_cost = fwbase::Duration::Millis(16);
+  cal.instance_pss_bytes = 50e6;
+  cal.pooled_clone_pss_bytes = 6e6;
+  return cal;
+}
 
 }  // namespace fwtest
 
