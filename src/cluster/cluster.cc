@@ -144,6 +144,11 @@ int Cluster::NewHostState(std::unique_ptr<ClusterHost> host, int zone,
   hs->zone = zone;
   hs->lifecycle = lifecycle;
   hosts_.push_back(std::move(hs));
+  HostView view;
+  view.alive = false;  // SyncHost counts the host in if it is alive.
+  view.zone = zone;
+  views_.push_back(view);
+  SyncHost(index);
   fleet_ledger_.OnProvision(index, sim_.Now());
   return index;
 }
@@ -191,33 +196,68 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
   co_return Status::Ok();
 }
 
-std::vector<HostView> Cluster::Views() {
-  std::vector<HostView> views(hosts_.size());
+void Cluster::EvaluateDueHosts() {
   const fwbase::SimTime now = sim_.Now();
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    const int h = static_cast<int>(i);
-    const HostState& hs = *hosts_[i];
-    views[i].zone = hs.zone;
-    views[i].inflight = hs.inflight;
-    views[i].queue_depth = static_cast<int64_t>(hs.queue->size());
-    if (hs.lifecycle != HostLifecycle::kActive) {
-      // Joining/warming hosts are not yet admitted, draining/removed ones
-      // take no new work: all are unschedulable regardless of liveness (and
-      // the detector is not consulted, so a decommissioned host cannot rack
-      // up suspect/death transitions forever).
-      views[i].alive = false;
-      continue;
+  while (!health_due_.empty() && health_due_.top().first <= now) {
+    const auto [due, h] = health_due_.top();
+    health_due_.pop();
+    HostState& hs = *hosts_[h];
+    if (due != hs.health_due) {
+      continue;  // Stale: superseded by an earlier entry for the host.
+    }
+    hs.health_due = fwbase::SimTime::Max();
+    if (!Schedulable(h)) {
+      continue;  // Left the active set since queuing: never evaluated again.
     }
     // Detected state: what heartbeats + data-path evidence support, not what
     // the fault bookkeeping knows. A freshly crashed host looks alive until
-    // it misses heartbeats or bounces a request.
-    CountTransition(health_.Evaluate(h, now));
-    const HealthState state = health_.state(h);
-    views[i].alive = state != HealthState::kDead;
-    views[i].suspect = state == HealthState::kSuspect;
-    views[i].pressured = health_.pressured(h);
+    // it misses heartbeats or bounces a request. (If heartbeats moved the
+    // threshold out since this entry was queued, Evaluate is a no-op and the
+    // host simply re-queues.)
+    ApplyHealth(h, health_.Evaluate(h, now));
+    // DueTime is exact, so the host is now due strictly later: this loop
+    // cannot spin on one instant.
+    FW_CHECK(hs.health_due > now);
   }
-  return views;
+}
+
+void Cluster::SyncHost(int host_index) {
+  HostView& view = views_[host_index];
+  const bool was_alive = view.alive;
+  if (Schedulable(host_index)) {
+    const HealthState state = health_.state(host_index);
+    view.alive = state != HealthState::kDead;
+    view.suspect = state == HealthState::kSuspect;
+    view.pressured = health_.pressured(host_index);
+    // Queue the next health check unless an earlier entry is already queued
+    // (that one re-queues when it pops early).
+    HostState& hs = *hosts_[host_index];
+    const fwbase::SimTime due = health_.DueTime(host_index);
+    if (due < hs.health_due) {
+      hs.health_due = due;
+      health_due_.emplace(due, host_index);
+    }
+  } else {
+    // Joining/warming hosts are not yet admitted, draining/removed ones take
+    // no new work: unschedulable regardless of liveness, and the detector is
+    // not consulted (so a decommissioned host cannot rack up suspect/death
+    // transitions forever). Admission syncs the host again.
+    view.alive = false;
+    view.suspect = false;
+    view.pressured = false;
+  }
+  if (view.alive != was_alive) {
+    alive_count_ += view.alive ? 1 : -1;
+    alive_inflight_ += view.alive ? view.inflight : -view.inflight;
+  }
+}
+
+void Cluster::AddInflight(int host_index, int64_t delta) {
+  HostView& view = views_[host_index];
+  view.inflight += delta;
+  if (view.alive) {
+    alive_inflight_ += delta;
+  }
 }
 
 uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
@@ -251,30 +291,25 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
 
 void Cluster::Dispatch(Request req, int exclude_host) {
   FW_PROFILE_SCOPE_ID(&obs_.profiler(), dispatch_scope_);
-  std::vector<HostView> views = Views();
-  if (distribution_ != nullptr) {
-    // Snapshot locality over actual chunk placement: the scheduler prefers
-    // hosts that already hold the app's snapshot before forcing a cold pull.
-    for (size_t i = 0; i < views.size(); ++i) {
-      views[i].holds_snapshot = distribution_->Holds(static_cast<int>(i), req.fn);
-    }
-  }
-  if (exclude_host >= 0 && exclude_host < static_cast<int>(views.size())) {
+  EvaluateDueHosts();
+  PickInput in(views_);
+  in.alive_count = alive_count_;
+  in.alive_inflight = alive_inflight_;
+  if (exclude_host >= 0 && views_[exclude_host].alive && alive_count_ > 1) {
     // Skip the host that just failed this request (or the hedge primary's
     // host) — but only when somewhere else could take it: a one-host-left
     // cluster still retries in place.
-    bool other_alive = false;
-    for (int h = 0; h < static_cast<int>(views.size()); ++h) {
-      if (h != exclude_host && views[h].alive) {
-        other_alive = true;
-        break;
-      }
-    }
-    if (other_alive) {
-      views[exclude_host].alive = false;
-    }
+    in.exclude = exclude_host;
+    in.alive_count -= 1;
+    in.alive_inflight -= views_[exclude_host].inflight;
   }
-  const int target = scheduler_->Pick(req.fn, views);
+  // Snapshot locality over actual chunk placement: the scheduler prefers
+  // hosts that already hold the app's snapshot before forcing a cold pull.
+  const auto holds = [this, &req](int h) { return distribution_->Holds(h, req.fn); };
+  if (distribution_ != nullptr) {
+    in.holds = holds;
+  }
+  const int target = scheduler_->Pick(req.fn, in);
   if (target < 0) {
     if (req.hedge) {
       // A hedge copy that cannot be placed is simply abandoned — the primary
@@ -309,7 +344,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
   if (!req.hedge) {
     primary_host_[req.id - 1] = target;
   }
-  ++hs.inflight;
+  AddInflight(target, 1);
   ++hs.arrivals[req.fn];
   hs.queue->Send(std::move(req));
 }
@@ -373,20 +408,21 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
   }
 }
 
-void Cluster::CountTransition(HealthTransition transition) {
+void Cluster::ApplyHealth(int host_index, HealthTransition transition) {
   switch (transition) {
     case HealthTransition::kNone:
-      return;
+      break;
     case HealthTransition::kSuspected:
       counters_.suspects.Increment();
-      return;
+      break;
     case HealthTransition::kDied:
       counters_.detector_deaths.Increment();
-      return;
+      break;
     case HealthTransition::kReinstated:
       counters_.reinstated.Increment();
-      return;
+      break;
   }
+  SyncHost(host_index);
 }
 
 double Cluster::PssFraction(int host_index) const {
@@ -446,7 +482,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // this copy is surplus the moment it surfaces. (HostStates are
       // heap-allocated — AddHost only push_backs unique_ptrs — so `hs`
       // stays stable across suspensions and fleet growth.)
-      --hs.inflight;
+      AddInflight(host_index, -1);
       counters_.hedge_discards.Increment();
       continue;
     }
@@ -455,8 +491,8 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // front end. (Not a zombie — it never started.) Connection-refused
       // analog: no need to wait out phi when the data path already proved
       // the host gone.
-      --hs.inflight;
-      CountTransition(health_.ReportFailure(host_index));
+      AddInflight(host_index, -1);
+      ApplyHealth(host_index, health_.ReportFailure(host_index));
       if (req.hedge) {
         counters_.hedge_discards.Increment();
         continue;
@@ -468,7 +504,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Already hopeless at dequeue (admission's estimate was optimistic, or
       // the queue stalled behind a slow host): drop it now instead of
       // burning a worker on a response nobody is waiting for.
-      --hs.inflight;
+      AddInflight(host_index, -1);
       counters_.expired.Increment();
       if (!req.hedge) {
         RecordFailure(req, Status::DeadlineExceeded("request expired in dispatch queue"));
@@ -535,13 +571,13 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
     while (hs.alive && hs.epoch == epoch && sim_.Now() < hs.partitioned_until) {
       co_await fwsim::Delay(sim_, hs.partitioned_until - sim_.Now());
     }
-    --hs.inflight;
+    AddInflight(host_index, -1);
     if (!hs.alive || hs.epoch != epoch) {
       // Zombie: the host crashed while this invocation was in flight. The
       // result (if any) is discarded and the request retried elsewhere —
       // never both, so completions stay exactly-once.
       counters_.zombie_discards.Increment();
-      CountTransition(health_.ReportFailure(host_index));
+      ApplyHealth(host_index, health_.ReportFailure(host_index));
       if (req.hedge || Terminal(req.id)) {
         counters_.hedge_discards.Increment();
         continue;
@@ -586,7 +622,8 @@ fwsim::Co<void> Cluster::Heartbeater(int host_index) {
     // beats that got through. A decommissioned host stops beating for good.
     if (hs.alive && sim_.Now() >= hs.partitioned_until &&
         !injector_.Trip(fwfault::FaultKind::kHeartbeatLoss)) {
-      CountTransition(health_.Heartbeat(host_index, sim_.Now(), PssFraction(host_index)));
+      ApplyHealth(host_index,
+                  health_.Heartbeat(host_index, sim_.Now(), PssFraction(host_index)));
     }
     co_await fwsim::Delay(sim_, config_.health.heartbeat_interval);
   }
@@ -678,13 +715,14 @@ fwsim::Co<void> Cluster::Sampler() {
     uint64_t queued = 0;
     uint64_t inflight = 0;
     uint64_t warm_hits = 0;
-    for (const auto& hs : hosts_) {
-      pss += hs->host->PssBytes();
-      vms += hs->host->LiveVmCount();
-      alive += hs->alive ? 1 : 0;
-      queued += hs->queue->size();
-      inflight += static_cast<uint64_t>(std::max<int64_t>(hs->inflight, 0));
-      warm_hits += hs->host->warm_hits();
+    for (size_t i = 0; i < hosts_.size(); ++i) {
+      const HostState& hs = *hosts_[i];
+      pss += hs.host->PssBytes();
+      vms += hs.host->LiveVmCount();
+      alive += hs.alive ? 1 : 0;
+      queued += hs.queue->size();
+      inflight += static_cast<uint64_t>(std::max<int64_t>(views_[i].inflight, 0));
+      warm_hits += hs.host->warm_hits();
     }
     peak_pss_bytes_ = std::max(peak_pss_bytes_, pss);
     peak_live_vms_ = std::max(peak_live_vms_, vms);
@@ -902,6 +940,7 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
   // dispatch on. A crash during warm-up does not cancel admission — crash is
   // not leave; the detector excludes the host until it heartbeats again.
   hs.lifecycle = HostLifecycle::kActive;
+  SyncHost(host_index);
   scheduler_->OnHostJoin(host_index);
   counters_.hosts_admitted.Increment();
   {
@@ -921,6 +960,7 @@ void Cluster::RemoveHost(int host) {
   // Out of the ring immediately: no new dispatch while the host bleeds its
   // queue and inflight work through the normal completion path.
   hs.lifecycle = HostLifecycle::kDraining;
+  SyncHost(host);
   scheduler_->OnHostLeave(host);
   counters_.hosts_removed.Increment();
   {
@@ -936,13 +976,13 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // Replenish the departing host's warm capacity on its ring successors
   // before the pool disappears, so its apps stay warm somewhere else.
   if (config_.autoscale) {
-    std::vector<HostView> views = Views();
+    EvaluateDueHosts();
     for (const std::string& app : installed_) {
       if (hs.host->PooledClones(app) == 0) {
         continue;
       }
       int target = -1;
-      for (int t : scheduler_->WarmTargets(app, views, 1)) {
+      for (int t : scheduler_->WarmTargets(app, views_, 1)) {
         if (t != host_index && Schedulable(t)) {
           target = t;
           break;
@@ -950,11 +990,11 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       }
       if (target < 0) {
         // Placement-free policy (or no ring successor): least-loaded active.
-        for (int h = 0; h < static_cast<int>(views.size()); ++h) {
-          if (h == host_index || !views[h].alive || !Schedulable(h)) {
+        for (int h = 0; h < num_hosts(); ++h) {
+          if (h == host_index || !views_[h].alive || !Schedulable(h)) {
             continue;
           }
-          if (target < 0 || views[h].inflight < views[target].inflight) {
+          if (target < 0 || views_[h].inflight < views_[target].inflight) {
             target = h;
           }
         }
@@ -973,7 +1013,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   }
   // Bleed: inflight covers both queued and executing requests, and the
   // scheduler stopped feeding this host when it left the ring.
-  while (hs.inflight > 0) {
+  while (views_[host_index].inflight > 0) {
     co_await fwsim::Delay(sim_, kSampleInterval);
   }
   // Teardown. The epoch bump first: any PrepareOne still in flight for this
@@ -983,6 +1023,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   hs.host->DropWarmPool();
   hs.alive = false;
   hs.lifecycle = HostLifecycle::kRemoved;
+  SyncHost(host_index);
   hs.arrivals.clear();
   hs.rate_ewma.clear();
   fleet_ledger_.OnRemove(host_index, sim_.Now());
@@ -1000,9 +1041,9 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
     if (!running_) {
       break;
     }
-    std::vector<HostView> views = Views();
+    EvaluateDueHosts();
     std::map<int, bool> alive_zones;
-    for (const HostView& v : views) {
+    for (const HostView& v : views_) {
       if (v.alive) {
         alive_zones.emplace(v.zone, true);
       }
@@ -1018,7 +1059,7 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
       // plus the next clockwise host in an uncovered zone. The per-host
       // autoscaler sizes the primary's pool; this loop only guarantees the
       // cross-zone replica exists.
-      for (int t : scheduler_->WarmTargets(app, views, 2)) {
+      for (int t : scheduler_->WarmTargets(app, views_, 2)) {
         if (!Schedulable(t)) {
           continue;
         }
@@ -1081,7 +1122,7 @@ fwsim::Co<void> Cluster::FleetAutoscaler() {
             other.zone != busiest_zone) {
           continue;
         }
-        if (victim < 0 || other.inflight < hosts_[victim]->inflight) {
+        if (victim < 0 || views_[h].inflight < views_[victim].inflight) {
           victim = h;
         }
       }

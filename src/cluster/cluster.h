@@ -63,7 +63,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -293,6 +295,17 @@ class Cluster {
   bool alive(int i) const { return hosts_[i]->alive; }
   // The failure detector's view: what placement acts on.
   const FailureDetector& detector() const { return health_; }
+  // The maintained scheduler views and their alive totals, for tests that
+  // check them against a from-scratch recomputation. Health bits reflect
+  // the detector as of the last placement decision (see Dispatch).
+  struct ViewState {
+    const std::vector<HostView>& views;
+    int alive_count;
+    int64_t alive_inflight;
+  };
+  ViewState view_state_for_testing() const {
+    return ViewState{views_, alive_count_, alive_inflight_};
+  }
   // Cluster-level observability (per-host metrics live on each FullHost's
   // own HostEnv). Enable obs().tracer() for cluster spans, obs().profiler()
   // for sim/wall hot-scope attribution (the ctor hooks it into the shared
@@ -330,7 +343,8 @@ class Cluster {
     int zone = 0;
     HostLifecycle lifecycle = HostLifecycle::kActive;
     fwbase::SimTime partitioned_until;
-    int64_t inflight = 0;  // Dispatched and not yet terminal.
+    // When this host's entry in health_due_ falls due; Max when it has none.
+    fwbase::SimTime health_due = fwbase::SimTime::Max();
     // Autoscaler state: arrivals since the last tick and the rate EWMA,
     // per app (ordered maps: tick iteration order is part of determinism).
     std::map<std::string, uint64_t> arrivals;
@@ -347,10 +361,19 @@ class Cluster {
   int NewHostState(std::unique_ptr<ClusterHost> host, int zone, HostLifecycle lifecycle);
   // Spawns a host's dispatch workers, warm-pool autoscaler and heartbeater.
   void SpawnHostServices(int host_index);
-  // Non-const: consulting host views re-evaluates phi (suspect/dead
-  // transitions happen at observation time, as they would in a control
-  // plane polling its detector).
-  std::vector<HostView> Views();
+  // Runs the detector's Evaluate on every active host whose DueTime has
+  // come, so views_ shows what a poll of the detector at this instant would
+  // (suspect/dead transitions happen at observation time, as they would in
+  // a control plane polling its detector). Called before every read of the
+  // views for a decision: placement, drain migration, zone spreading.
+  void EvaluateDueHosts();
+  // Re-derives host h's health bits in views_ from its lifecycle and the
+  // detector, keeping the alive totals in step, and queues an active host
+  // for evaluation at the detector's DueTime. Called wherever either input
+  // changes.
+  void SyncHost(int host_index);
+  // Adds `delta` to host h's inflight count (its only store).
+  void AddInflight(int host_index, int64_t delta);
   // True once the request has a recorded terminal outcome; the losing copy
   // of a hedged pair checks this before recording anything.
   bool Terminal(uint64_t id) const { return outcomes_[id - 1].completions > 0; }
@@ -365,8 +388,9 @@ class Cluster {
   void RecordFailure(const Request& req, Status status);
   void RecordCompletion(const Request& req, const fwcore::InvocationResult& result,
                         int host_index, bool warm_hit);
-  // Counts a detector health transition.
-  void CountTransition(HealthTransition transition);
+  // Applies the outcome of a detector call on host h: counts the
+  // transition, then re-syncs the host (SyncHost).
+  void ApplyHealth(int host_index, HealthTransition transition);
   double PssFraction(int host_index) const;
   // Quantile-based hedge trigger delay (hedge_min_delay until enough
   // completions have been observed).
@@ -433,6 +457,20 @@ class Cluster {
   // and autoscaler coroutines bind HostState& for their whole lifetime, and
   // push_back only moves the unique_ptrs.
   std::vector<std::unique_ptr<HostState>> hosts_;
+  // One scheduler view per host, kept up to date where its inputs change
+  // (inflight, lifecycle, detector state) instead of being rebuilt per
+  // dispatch; views_[h].inflight is the only store of host h's inflight
+  // count. alive_count_/alive_inflight_ are the number of alive views and
+  // their summed inflight, the bounded-load mean's inputs.
+  std::vector<HostView> views_;
+  int alive_count_ = 0;
+  int64_t alive_inflight_ = 0;
+  // Min-heap of (due time, host) over active hosts' detector DueTimes. An
+  // entry whose time no longer matches the host's health_due is stale and
+  // skipped.
+  using HealthCheck = std::pair<fwbase::SimTime, int>;
+  std::priority_queue<HealthCheck, std::vector<HealthCheck>, std::greater<HealthCheck>>
+      health_due_;
   std::vector<std::string> installed_;  // Install order (autoscaler iteration).
   // Copies of every installed function, so a host provisioned after
   // InstallAll can run the same install sequence during its join warm-up.

@@ -109,7 +109,31 @@ double FailureDetector::pss_fraction(int host) const {
 
 Duration FailureDetector::TimeToPhi(int host, double phi) const {
   const HostRecord& r = records_[static_cast<size_t>(host)];
-  return Duration::SecondsF(phi * r.mean_interval_seconds / kLog10E);
+  // The closed form, rounded to whole nanoseconds, can land a nanosecond or
+  // two either side of where Phi() (the arithmetic Evaluate uses) crosses.
+  // Phi() is monotone in time, so step to the first nanosecond at which it
+  // reaches `phi`.
+  int64_t ns = Duration::SecondsF(phi * r.mean_interval_seconds / kLog10E).nanos();
+  while (ns > 0 && Phi(host, r.last_heartbeat + Duration::Nanos(ns - 1)) >= phi) {
+    --ns;
+  }
+  while (Phi(host, r.last_heartbeat + Duration::Nanos(ns)) < phi) {
+    ++ns;
+  }
+  return Duration::Nanos(ns);
+}
+
+SimTime FailureDetector::DueTime(int host) const {
+  const HostRecord& r = records_[static_cast<size_t>(host)];
+  switch (r.state) {
+    case HealthState::kAlive:
+      return r.last_heartbeat + TimeToPhi(host, config_.phi_suspect);
+    case HealthState::kSuspect:
+      return r.last_heartbeat + TimeToPhi(host, config_.phi_dead);
+    case HealthState::kDead:
+      break;
+  }
+  return SimTime::Max();
 }
 
 }  // namespace fwcluster

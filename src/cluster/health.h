@@ -105,8 +105,17 @@ class FailureDetector {
   double pss_fraction(int host) const;
 
   // Time after the last heartbeat at which phi crosses `phi` given no further
-  // heartbeats (so tests can land a recovery exactly at a threshold).
+  // heartbeats: the first nanosecond at which Phi() >= `phi` (so tests can
+  // land a recovery exactly at a threshold).
   Duration TimeToPhi(int host, double phi) const;
+
+  // The earliest time at which Evaluate() would change the host's state,
+  // given no further heartbeat or ReportFailure: the suspect threshold for
+  // an alive host, the dead threshold for a suspect one, SimTime::Max() for
+  // a dead one (only evidence revives it). Exact: Evaluate at any earlier
+  // time is a no-op, and Evaluate at or after it transitions. The cluster
+  // evaluates a host only once it is due.
+  SimTime DueTime(int host) const;
 
   const HealthConfig& config() const { return config_; }
 

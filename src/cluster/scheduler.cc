@@ -1,5 +1,8 @@
 #include "src/cluster/scheduler.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/base/check.h"
 #include "src/base/strings.h"
 
@@ -52,6 +55,12 @@ uint64_t HashKey(const std::string& key) {
 // ConsistentHashRing
 // ---------------------------------------------------------------------------
 
+namespace {
+bool PointBefore(const std::pair<uint64_t, int>& entry, uint64_t point) {
+  return entry.first < point;
+}
+}  // namespace
+
 ConsistentHashRing::ConsistentHashRing(int vnodes_per_host)
     : vnodes_per_host_(vnodes_per_host) {
   FW_CHECK(vnodes_per_host > 0);
@@ -62,28 +71,38 @@ void ConsistentHashRing::AddHost(int host) {
     return;
   }
   members_[host] = true;
+  if (seen_.size() <= static_cast<size_t>(host)) {
+    seen_.resize(static_cast<size_t>(host) + 1, 0);
+  }
+  // New points go to the tail, then one sort + linear merge keeps the ring
+  // ordered (a membership change is rare; walks are per dispatch).
+  const size_t old_size = ring_.size();
   for (int v = 0; v < vnodes_per_host_; ++v) {
     const uint64_t point = HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
-    auto [it, inserted] = ring_.emplace(point, host);
-    if (!inserted) {
+    const auto old_end = ring_.begin() + static_cast<std::ptrdiff_t>(old_size);
+    const auto it = std::lower_bound(ring_.begin(), old_end, point, PointBefore);
+    if (it != old_end && it->first == point) {
       // 64-bit collision between two hosts' vnodes: keep the smaller host id
       // so ownership never depends on insertion order.
       it->second = std::min(it->second, host);
+    } else {
+      ring_.emplace_back(point, host);
     }
   }
+  const auto tail = ring_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  std::sort(tail, ring_.end());
+  ring_.erase(std::unique(tail, ring_.end()), ring_.end());  // Own-vnode collisions.
+  std::inplace_merge(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(old_size),
+                     ring_.end());
 }
 
 void ConsistentHashRing::RemoveHost(int host) {
   if (members_.erase(host) == 0) {
     return;
   }
-  for (int v = 0; v < vnodes_per_host_; ++v) {
-    const uint64_t point = HashKey(fwbase::StrFormat("host-%d-vnode-%d", host, v));
-    auto it = ring_.find(point);
-    if (it != ring_.end() && it->second == host) {
-      ring_.erase(it);
-    }
-  }
+  // Every point mapped to `host` is one of its own vnodes (a collision it
+  // lost maps to the smaller id and stays), so this drops exactly those.
+  std::erase_if(ring_, [host](const std::pair<uint64_t, int>& e) { return e.second == host; });
 }
 
 bool ConsistentHashRing::Contains(int host) const { return members_.count(host) > 0; }
@@ -93,9 +112,9 @@ int ConsistentHashRing::Owner(const std::string& key) const {
 }
 
 int ConsistentHashRing::OwnerIf(const std::string& key,
-                                const std::function<bool(int)>& alive) const {
+                                fwbase::FunctionRef<bool(int)> alive) const {
   int found = -1;
-  Walk(key, [&found, &alive](int host) {
+  Walk(key, [&found, alive](int host) {
     if (alive(host)) {
       found = host;
       return false;
@@ -106,21 +125,30 @@ int ConsistentHashRing::OwnerIf(const std::string& key,
 }
 
 void ConsistentHashRing::Walk(const std::string& key,
-                              const std::function<bool(int)>& visit) const {
+                              fwbase::FunctionRef<bool(int)> visit) const {
   if (ring_.empty()) {
     return;
   }
-  const uint64_t point = HashKey(key);
-  auto it = ring_.lower_bound(point);
-  std::map<int, bool> seen;
-  for (size_t step = 0; step < ring_.size(); ++step) {
-    if (it == ring_.end()) {
-      it = ring_.begin();  // Wrap around the ring.
+  // A fresh stamp marks every host unvisited at once; the stamp never wraps
+  // in practice (2^64 walks).
+  const uint64_t stamp = ++walk_stamp_;
+  size_t i = static_cast<size_t>(
+      std::lower_bound(ring_.begin(), ring_.end(), HashKey(key), PointBefore) - ring_.begin());
+  for (size_t step = 0; step < ring_.size(); ++step, ++i) {
+    if (i == ring_.size()) {
+      i = 0;  // Wrap around the ring.
     }
-    if (seen.emplace(it->second, true).second && !visit(it->second)) {
-      return;
+    const int host = ring_[i].second;
+    uint64_t& seen = seen_[static_cast<size_t>(host)];
+    if (seen != stamp) {
+      seen = stamp;
+      if (!visit(host)) {
+        return;
+      }
+      // The visitor must not have started another walk: it would have reused
+      // the visited set this walk is still relying on.
+      FW_CHECK_MSG(walk_stamp_ == stamp, "ConsistentHashRing::Walk is not re-entrant");
     }
-    ++it;
   }
 }
 
@@ -128,20 +156,31 @@ void ConsistentHashRing::Walk(const std::string& key,
 // Policies
 // ---------------------------------------------------------------------------
 
+PickInput PickInput::Over(const std::vector<HostView>& views) {
+  PickInput in(views);
+  for (const HostView& v : views) {
+    if (v.alive) {
+      ++in.alive_count;
+      in.alive_inflight += v.inflight;
+    }
+  }
+  return in;
+}
+
 namespace {
 
 class RoundRobinScheduler : public Scheduler {
  public:
   SchedulerPolicy policy() const override { return SchedulerPolicy::kRoundRobin; }
 
-  int Pick(const std::string& app, const std::vector<HostView>& hosts) override {
-    const int n = static_cast<int>(hosts.size());
+  int Pick(const std::string& app, const PickInput& in) override {
+    const int n = static_cast<int>(in.hosts.size());
     // First rotation over preferred (healthy) hosts, then over anything
     // alive: a suspect/pressured host only serves when nothing better can.
     for (const bool healthy_only : {true, false}) {
       for (int i = 0; i < n; ++i) {
         const int h = (next_ + i) % n;
-        if (healthy_only ? hosts[h].preferred() : hosts[h].alive) {
+        if (healthy_only ? in.preferred(h) : in.alive(h)) {
           next_ = (h + 1) % n;
           return h;
         }
@@ -154,13 +193,14 @@ class RoundRobinScheduler : public Scheduler {
   int next_ = 0;
 };
 
-// Least-loaded alive host in `hosts`, restricted to preferred() hosts when
+// Least-loaded alive host in `in`, restricted to preferred() hosts when
 // `healthy_only`; -1 when the restricted set is empty. Shared by the
 // least-loaded policy and the locality policy's spill path.
-int PickLeastLoaded(const std::vector<HostView>& hosts, bool healthy_only) {
+int PickLeastLoaded(const PickInput& in, bool healthy_only) {
+  const std::vector<HostView>& hosts = in.hosts;
   int best = -1;
   for (int h = 0; h < static_cast<int>(hosts.size()); ++h) {
-    if (healthy_only ? !hosts[h].preferred() : !hosts[h].alive) {
+    if (healthy_only ? !in.preferred(h) : !in.alive(h)) {
       continue;
     }
     if (best < 0 || hosts[h].inflight < hosts[best].inflight) {
@@ -174,9 +214,9 @@ class LeastLoadedScheduler : public Scheduler {
  public:
   SchedulerPolicy policy() const override { return SchedulerPolicy::kLeastLoaded; }
 
-  int Pick(const std::string& app, const std::vector<HostView>& hosts) override {
-    const int healthy = PickLeastLoaded(hosts, /*healthy_only=*/true);
-    return healthy >= 0 ? healthy : PickLeastLoaded(hosts, /*healthy_only=*/false);
+  int Pick(const std::string& app, const PickInput& in) override {
+    const int healthy = PickLeastLoaded(in, /*healthy_only=*/true);
+    return healthy >= 0 ? healthy : PickLeastLoaded(in, /*healthy_only=*/false);
   }
 };
 
@@ -195,24 +235,17 @@ class SnapshotLocalityScheduler : public Scheduler {
 
   SchedulerPolicy policy() const override { return SchedulerPolicy::kSnapshotLocality; }
 
-  int Pick(const std::string& app, const std::vector<HostView>& hosts) override {
+  int Pick(const std::string& app, const PickInput& in) override {
     // Bounded loads (Mirrokni et al.): accept the first alive owner clockwise
     // whose inflight is below c× the alive-host mean (plus slack for cold
-    // clusters), so a Zipf head app spills instead of melting its owner.
-    int alive_count = 0;
-    int64_t total_inflight = 0;
-    for (const HostView& v : hosts) {
-      if (v.alive) {
-        ++alive_count;
-        total_inflight += v.inflight;
-      }
-    }
-    if (alive_count == 0) {
+    // clusters), so a Zipf head app spills instead of melting its owner. The
+    // mean comes from the caller's running totals: no pass over the fleet.
+    if (in.alive_count == 0) {
       return -1;
     }
     const int64_t bound =
-        static_cast<int64_t>(kLoadBoundFactor * static_cast<double>(total_inflight) /
-                             static_cast<double>(alive_count)) +
+        static_cast<int64_t>(kLoadBoundFactor * static_cast<double>(in.alive_inflight) /
+                             static_cast<double>(in.alive_count)) +
         kLoadBoundSlack;
     // Four ring passes, strictly weakening: healthy owners already holding
     // the app's snapshot, then any healthy owner, then alive holders, then
@@ -229,15 +262,15 @@ class SnapshotLocalityScheduler : public Scheduler {
         {true, true}, {true, false}, {false, true}, {false, false}};
     int chosen = -1;
     for (const Pass& pass : kPasses) {
-      ring_.Walk(app, [&hosts, bound, pass, &chosen](int h) {
-        if (h >= static_cast<int>(hosts.size()) ||
-            (pass.healthy_only ? !hosts[h].preferred() : !hosts[h].alive)) {
+      ring_.Walk(app, [&in, bound, pass, &chosen](int h) {
+        if (h >= static_cast<int>(in.hosts.size()) ||
+            (pass.healthy_only ? !in.preferred(h) : !in.alive(h))) {
           return true;
         }
-        if (pass.holders_only && !hosts[h].holds_snapshot) {
+        if (pass.holders_only && !in.holds_snapshot(h)) {
           return true;
         }
-        if (hosts[h].inflight <= bound) {
+        if (in.hosts[h].inflight <= bound) {
           chosen = h;
           return false;
         }
@@ -249,8 +282,8 @@ class SnapshotLocalityScheduler : public Scheduler {
     }
     // Every alive member host is above the bound (or the ring lost all alive
     // members): fall back to the least-loaded host, healthy first.
-    const int healthy = PickLeastLoaded(hosts, /*healthy_only=*/true);
-    return healthy >= 0 ? healthy : PickLeastLoaded(hosts, /*healthy_only=*/false);
+    const int healthy = PickLeastLoaded(in, /*healthy_only=*/true);
+    return healthy >= 0 ? healthy : PickLeastLoaded(in, /*healthy_only=*/false);
   }
 
   void OnHostJoin(int host) override { ring_.AddHost(host); }

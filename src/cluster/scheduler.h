@@ -1,7 +1,8 @@
 // Front-end scheduling policies for the multi-host cluster (src/cluster).
 //
-// The front end picks a host for every invocation from a snapshot of per-host
-// state (alive? how many in flight?). Three policies:
+// The front end picks a host for every invocation from its per-host views
+// (alive? how many in flight?), which the cluster keeps up to date as they
+// change rather than rebuilding them per pick. Three policies:
 //
 //   * kRoundRobin       — rotate over alive hosts; ignores the app entirely.
 //   * kLeastLoaded      — pick the alive host with the fewest in-flight
@@ -16,18 +17,20 @@
 //                         head app cannot melt its owner. Crashed owners'
 //                         apps spill the same way and return home on restart.
 //
-// All policies are pure functions of (app, host views, internal counters) —
+// All policies are pure functions of (app, pick input, internal counters) —
 // no RNG — so a replayed request stream schedules identically.
 #ifndef FIREWORKS_SRC_CLUSTER_SCHEDULER_H_
 #define FIREWORKS_SRC_CLUSTER_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/base/function_ref.h"
 
 namespace fwcluster {
 
@@ -37,10 +40,11 @@ const char* SchedulerPolicyName(SchedulerPolicy policy);
 std::optional<SchedulerPolicy> ParseSchedulerPolicy(const std::string& name);
 std::vector<SchedulerPolicy> AllSchedulerPolicies();
 
-// What the scheduler may consult about one host when picking. With health
-// checks enabled this is *detected* state (heartbeats + data-path evidence,
-// see health.h), not the cluster's own fault bookkeeping: the front end only
-// knows what a real control plane could know.
+// What the scheduler may consult about one host when picking. This is
+// *detected* state (heartbeats + data-path evidence, see health.h), not the
+// cluster's own fault bookkeeping: the front end only knows what a real
+// control plane could know. Whether a host holds a given app's snapshot is
+// per app, so it is a PickInput predicate rather than a view field.
 struct HostView {
   HostView() {}
 
@@ -51,15 +55,9 @@ struct HostView {
   bool suspect = false;
   // Reporting memory pressure (brownout): schedulable, deprioritized.
   bool pressured = false;
-  // Invocations dispatched to the host and not yet completed.
+  // Invocations dispatched to the host and not yet completed (queued or
+  // executing).
   int64_t inflight = 0;
-  // Requests sitting in the host's dispatch queue (subset of inflight).
-  int64_t queue_depth = 0;
-  // Whether the host already holds the app's snapshot locally (chunk cache /
-  // installed image). Defaults true so deployments without a distribution
-  // tier schedule exactly as before; with one, the locality policy prefers
-  // holders before forcing a cold registry pull.
-  bool holds_snapshot = true;
   // Failure-domain the host lives in (DESIGN.md §16). Zone-aware placement
   // (WarmTargets) spreads an app's warm capacity across distinct zones; a
   // single-zone fleet leaves every host at zone 0 and nothing changes.
@@ -68,6 +66,36 @@ struct HostView {
   // Every policy prefers healthy hosts and falls back to merely-alive ones,
   // so a suspect/pressured host sheds new load without being fenced off.
   bool preferred() const { return alive && !suspect && !pressured; }
+};
+
+// Everything one Pick consults: the host views plus the per-pick facts the
+// caller would otherwise have to copy the views to express.
+struct PickInput {
+  explicit PickInput(const std::vector<HostView>& views) : hosts(views) {}
+
+  // Views of every host the caller tracks, indexed by host.
+  const std::vector<HostView>& hosts;
+  // Host to treat as not alive for this pick (the host a retry just failed
+  // on, or a hedge's primary); -1 for none.
+  int exclude = -1;
+  // Number of alive, non-excluded hosts and their summed inflight: the
+  // mean for the bounded-load check, kept as running totals by the cluster
+  // so a pick never sums over the fleet.
+  int alive_count = 0;
+  int64_t alive_inflight = 0;
+  // Whether host h already holds the app's snapshot locally (chunk cache /
+  // installed image). Empty (the default, no distribution tier): every host
+  // does. Consulted only for hosts a ring walk actually reaches.
+  fwbase::FunctionRef<bool(int)> holds;
+
+  // Input over plain views with nothing excluded: totals summed here. For
+  // callers without running totals (tests, tools); the cluster fills the
+  // totals itself.
+  static PickInput Over(const std::vector<HostView>& views);
+
+  bool alive(int h) const { return h != exclude && hosts[h].alive; }
+  bool preferred(int h) const { return h != exclude && hosts[h].preferred(); }
+  bool holds_snapshot(int h) const { return !holds || holds(h); }
 };
 
 // Deterministic 64-bit string hash (FNV-1a); exposed for tests.
@@ -89,18 +117,24 @@ class ConsistentHashRing {
   int Owner(const std::string& key) const;
   // First owner clockwise from `key` for which alive(host) is true; -1 when
   // no member host is alive.
-  int OwnerIf(const std::string& key, const std::function<bool(int)>& alive) const;
+  int OwnerIf(const std::string& key, fwbase::FunctionRef<bool(int)> alive) const;
   // Visits distinct member hosts clockwise from `key`'s ring point (each at
-  // most once); stops early when `visit` returns false.
-  void Walk(const std::string& key, const std::function<bool(int)>& visit) const;
+  // most once); stops early when `visit` returns false. Allocation-free. Not
+  // re-entrant: `visit` must not walk this ring again.
+  void Walk(const std::string& key, fwbase::FunctionRef<bool(int)> visit) const;
 
   size_t host_count() const { return members_.size(); }
 
  private:
   int vnodes_per_host_;
-  // hash point -> host. Ordered: ring walks must not depend on hash-map order.
-  std::map<uint64_t, int> ring_;
+  // (hash point, host), sorted by point: the ring in clockwise order, flat so
+  // a walk's lookup is one binary search over contiguous memory.
+  std::vector<std::pair<uint64_t, int>> ring_;
   std::map<int, bool> members_;
+  // Walk's visited set without a per-walk allocation or clear: host h has
+  // been visited by the current walk iff seen_[h] == walk_stamp_.
+  mutable std::vector<uint64_t> seen_;
+  mutable uint64_t walk_stamp_ = 0;
 };
 
 class Scheduler {
@@ -109,9 +143,13 @@ class Scheduler {
 
   virtual SchedulerPolicy policy() const = 0;
 
-  // Picks a host index for one invocation of `app`; hosts[i] describes host i.
-  // Returns -1 when no host is schedulable.
-  virtual int Pick(const std::string& app, const std::vector<HostView>& hosts) = 0;
+  // Picks a host index for one invocation of `app`; in.hosts[i] describes
+  // host i. Returns -1 when no host is schedulable.
+  virtual int Pick(const std::string& app, const PickInput& in) = 0;
+  // Pick over plain views (PickInput::Over).
+  int Pick(const std::string& app, const std::vector<HostView>& hosts) {
+    return Pick(app, PickInput::Over(hosts));
+  }
 
   // Permanent membership changes (decommission / recommission). A crash is
   // NOT a leave: the host keeps its ring assignment so its apps come home on

@@ -239,6 +239,58 @@ TEST(SchedulerTest, SnapshotLocalitySpillsWhenOwnerIsSaturated) {
   EXPECT_NE(spill, home);
 }
 
+// PickInput::exclude must pick exactly as if the excluded host's view read
+// not-alive (with the totals adjusted to match), for every policy; the holds
+// predicate is asked only about hosts a ring walk reaches, and a non-holder
+// loses to a holder inside the load bound.
+TEST(SchedulerTest, PickInputExclusionAndHoldsMatchTheirViewEquivalents) {
+  fwbase::Rng rng(fwtest::PerTestSeed());
+  constexpr int kHosts = 12;
+  for (SchedulerPolicy policy : AllSchedulerPolicies()) {
+    auto with_input = MakeScheduler(policy, kHosts);
+    auto with_copy = MakeScheduler(policy, kHosts);
+    std::vector<HostView> views = MakeViews(kHosts);
+    for (int round = 0; round < 400; ++round) {
+      for (auto& v : views) {
+        v.inflight = static_cast<int64_t>(rng.UniformU64(30));
+        v.alive = rng.UniformU64(5) != 0;
+        v.suspect = rng.UniformU64(6) == 0;
+        v.pressured = rng.UniformU64(8) == 0;
+      }
+      const int excluded = static_cast<int>(rng.UniformU64(kHosts));
+      PickInput in = PickInput::Over(views);
+      if (views[excluded].alive) {
+        in.alive_count -= 1;
+        in.alive_inflight -= views[excluded].inflight;
+      }
+      in.exclude = excluded;
+      std::vector<HostView> copy = views;
+      copy[excluded].alive = false;
+      const std::string app = fwbase::StrFormat("app-%d", round % 17);
+      EXPECT_EQ(with_input->Pick(app, in), with_copy->Pick(app, copy))
+          << SchedulerPolicyName(policy) << " round " << round;
+    }
+  }
+
+  auto sched = MakeScheduler(SchedulerPolicy::kSnapshotLocality, kHosts);
+  std::vector<HostView> views = MakeViews(kHosts);
+  const std::string app = "app-3";
+  const int owner = sched->Pick(app, views);
+  ASSERT_GE(owner, 0);
+  std::set<int> asked;
+  auto holds = [&asked, owner](int h) {
+    asked.insert(h);
+    return h != owner;  // Everyone but the ring owner holds the snapshot.
+  };
+  PickInput in = PickInput::Over(views);
+  in.holds = holds;
+  const int picked = sched->Pick(app, in);
+  EXPECT_NE(picked, owner);
+  EXPECT_TRUE(asked.count(owner) > 0 && asked.count(picked) > 0);
+  // The walk stopped at the first holder clockwise of the owner.
+  EXPECT_EQ(asked.size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Load generator.
 // ---------------------------------------------------------------------------
@@ -502,6 +554,77 @@ TEST(FailureDetectorTest, PressureTracksHeartbeatPayload) {
   EXPECT_FALSE(fd.pressured(0));
 }
 
+// The cluster evaluates a host only once its DueTime has come, so DueTime
+// must be exact: Evaluate before it never transitions, and the first
+// Evaluate at or after last_heartbeat + TimeToPhi(threshold) always does.
+// Seeded random cadences, jittered gaps and EWMA weights shape the interval
+// mean; each round walks alive → suspect → dead → heartbeat → ReportFailure.
+TEST(FailureDetectorTest, DueTimeIsTheExactInstantEvaluateTransitions) {
+  fwbase::Rng rng(fwtest::PerTestSeed());
+  const Duration one_ns = Duration::Nanos(1);
+  // Evaluate on a copy, so probing leaves the detector under test untouched.
+  auto probe = [](const FailureDetector& fd, fwbase::SimTime at) {
+    FailureDetector copy = fd;
+    return copy.Evaluate(0, at);
+  };
+  for (int round = 0; round < 300; ++round) {
+    HealthConfig hc;
+    hc.heartbeat_interval = Duration::Micros(1 + static_cast<int64_t>(rng.UniformU64(500000)));
+    hc.phi_suspect = rng.UniformDouble(0.5, 4.0);
+    hc.phi_dead = hc.phi_suspect + rng.UniformDouble(0.1, 10.0);
+    hc.interval_ewma_alpha = rng.UniformDouble(0.05, 0.95);
+    fwbase::SimTime t = fwbase::SimTime::FromNanos(static_cast<int64_t>(rng.UniformU64(1000000)));
+    FailureDetector fd(1, hc, t);
+    const int beats = static_cast<int>(rng.UniformU64(20));
+    for (int i = 0; i < beats; ++i) {
+      const double gap = hc.heartbeat_interval.seconds() * rng.UniformDouble(0.2, 3.0);
+      t = t + Duration::Nanos(1 + static_cast<int64_t>(gap * 1e9));
+      ASSERT_EQ(fd.Heartbeat(0, t, 0.0), HealthTransition::kNone);
+    }
+    const fwbase::SimTime last = t;
+
+    // Alive: due at the suspect threshold.
+    const fwbase::SimTime suspect_at = last + fd.TimeToPhi(0, hc.phi_suspect);
+    ASSERT_EQ(fd.DueTime(0), suspect_at) << "round " << round;
+    EXPECT_EQ(probe(fd, suspect_at - one_ns), HealthTransition::kNone) << "round " << round;
+    const fwbase::SimTime early = last + Duration::Nanos(static_cast<int64_t>(
+                                            rng.UniformU64(static_cast<uint64_t>(
+                                                (suspect_at - last).nanos()))));
+    EXPECT_EQ(probe(fd, early), HealthTransition::kNone) << "round " << round;
+
+    // The first Evaluate at or after the threshold transitions; landing it
+    // anywhere in [suspect_at, dead_at) suspects.
+    const fwbase::SimTime dead_at = last + fd.TimeToPhi(0, hc.phi_dead);
+    ASSERT_LT(suspect_at, dead_at);
+    const fwbase::SimTime suspect_eval =
+        suspect_at + Duration::Nanos(static_cast<int64_t>(
+                         rng.UniformU64(static_cast<uint64_t>((dead_at - suspect_at).nanos()))));
+    ASSERT_EQ(fd.Evaluate(0, suspect_eval), HealthTransition::kSuspected) << "round " << round;
+    ASSERT_EQ(fd.state(0), HealthState::kSuspect);
+
+    // Suspect: due at the dead threshold.
+    ASSERT_EQ(fd.DueTime(0), dead_at) << "round " << round;
+    EXPECT_EQ(probe(fd, dead_at - one_ns), HealthTransition::kNone) << "round " << round;
+    ASSERT_EQ(fd.Evaluate(0, dead_at), HealthTransition::kDied) << "round " << round;
+
+    // Dead: nothing is ever due; only a heartbeat revives, and the revived
+    // host is due at the suspect threshold again, measured from that beat
+    // (the downtime gap is not an interval sample).
+    EXPECT_EQ(fd.DueTime(0), fwbase::SimTime::Max());
+    EXPECT_EQ(fd.Evaluate(0, dead_at + Duration::Seconds(3600)), HealthTransition::kNone);
+    const fwbase::SimTime revived = dead_at + Duration::Millis(1 + rng.UniformU64(5000));
+    ASSERT_EQ(fd.Heartbeat(0, revived, 0.0), HealthTransition::kReinstated);
+    EXPECT_EQ(fd.DueTime(0), revived + fd.TimeToPhi(0, hc.phi_suspect));
+    EXPECT_EQ(fd.TimeToPhi(0, hc.phi_suspect), suspect_at - last);
+    EXPECT_EQ(probe(fd, fd.DueTime(0) - one_ns), HealthTransition::kNone);
+    EXPECT_EQ(probe(fd, fd.DueTime(0)), HealthTransition::kSuspected);
+
+    // Data-path death: nothing due until the next heartbeat.
+    ASSERT_EQ(fd.ReportFailure(0), HealthTransition::kDied);
+    EXPECT_EQ(fd.DueTime(0), fwbase::SimTime::Max());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control + retry budget (admission.h).
 // ---------------------------------------------------------------------------
@@ -742,6 +865,167 @@ TEST(ClusterDrainDeathTest, BoundaryProgressRestartsTheStallWindow) {
   // (no early abort) and the guard fired a configured timeout after it.
   EXPECT_DEATH(drain_past_reset(),
                "Drain\\(3\\) stalled: 2 submitted, 2 terminal, and no progress for 2s");
+}
+
+// ---------------------------------------------------------------------------
+// Maintained scheduler views (DESIGN.md §11): the cluster updates its host
+// views where their inputs change and evaluates phi only for hosts that are
+// due. Stepping a fault-heavy run event by event, the views must always
+// equal a from-scratch recomputation from lifecycle + detector state, their
+// alive totals must equal sums over them, and right after a dispatch no
+// active host may still owe a transition (Evaluate on a copy of the
+// detector at that instant changes nothing, so re-evaluating every host on
+// every dispatch would have found exactly what the views already hold).
+// ---------------------------------------------------------------------------
+
+struct ViewCoverage {
+  uint64_t checks = 0;
+  uint64_t dispatch_checks = 0;
+  bool saw_suspect = false;
+  bool saw_pressured = false;
+  bool saw_unschedulable = false;
+};
+
+void ExpectViewsMatchRecomputation(const Cluster& cluster, fwbase::SimTime now,
+                                   bool just_dispatched, ViewCoverage& coverage) {
+  const Cluster::ViewState state = cluster.view_state_for_testing();
+  ASSERT_EQ(state.views.size(), static_cast<size_t>(cluster.num_hosts()));
+  FailureDetector detector = cluster.detector();
+  int alive_count = 0;
+  int64_t alive_inflight = 0;
+  for (int h = 0; h < cluster.num_hosts(); ++h) {
+    const HostView& got = state.views[static_cast<size_t>(h)];
+    const bool active = cluster.lifecycle(h) == HostLifecycle::kActive;
+    if (active && just_dispatched) {
+      ASSERT_EQ(detector.Evaluate(h, now), HealthTransition::kNone)
+          << "host " << h << " owed a transition at t=" << now.nanos();
+    }
+    ASSERT_EQ(got.alive, active && detector.state(h) != HealthState::kDead)
+        << "host " << h << " t=" << now.nanos();
+    ASSERT_EQ(got.suspect, active && detector.state(h) == HealthState::kSuspect)
+        << "host " << h << " t=" << now.nanos();
+    ASSERT_EQ(got.pressured, active && detector.pressured(h))
+        << "host " << h << " t=" << now.nanos();
+    ASSERT_EQ(got.zone, cluster.zone_of(h)) << "host " << h;
+    ASSERT_GE(got.inflight, 0) << "host " << h << " t=" << now.nanos();
+    if (cluster.lifecycle(h) == HostLifecycle::kRemoved) {
+      ASSERT_EQ(got.inflight, 0) << "removed host " << h << " still has work";
+    }
+    if (got.alive) {
+      ++alive_count;
+      alive_inflight += got.inflight;
+    }
+    coverage.saw_suspect |= got.suspect;
+    coverage.saw_pressured |= got.pressured;
+    coverage.saw_unschedulable |= !active;
+  }
+  ASSERT_EQ(state.alive_count, alive_count) << "t=" << now.nanos();
+  ASSERT_EQ(state.alive_inflight, alive_inflight) << "t=" << now.nanos();
+  ++coverage.checks;
+  coverage.dispatch_checks += just_dispatched ? 1 : 0;
+}
+
+TEST(ClusterViewsTest, MaintainedViewsEqualRecomputationThroughFaultsAndMembership) {
+  fwsim::Simulation sim(fwtest::PerTestSeed());
+  auto make_host = [](fwsim::Simulation& s, int index) -> std::unique_ptr<ClusterHost> {
+    ModelHost::Config mc;
+    mc.calibration = TestCalibration();
+    if (index == 5) {
+      mc.memory_bytes = 60e6;  // Brownout: a clone plus one instance cross 0.9.
+    }
+    return std::make_unique<ModelHost>(s, index, mc);
+  };
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  for (int i = 0; i < 6; ++i) {
+    hosts.push_back(make_host(sim, i));
+  }
+  Cluster::Config cc;
+  cc.policy = SchedulerPolicy::kSnapshotLocality;
+  cc.workers_per_host = 2;
+  cc.num_zones = 3;
+  cc.host_factory = make_host;
+  cc.hedging = true;
+  cc.hedge_min_delay = Duration::Millis(15);
+  cc.admission.queue_capacity = 4;
+  cc.admission.default_deadline = Duration::Millis(150);
+  cc.distribution.enabled = true;
+  // Suspect after ~230 ms of silence: shorter than a join's warm-up, so the
+  // joiner crashed below is already overdue when it is admitted.
+  cc.health.heartbeat_interval = Duration::Millis(50);
+  cc.fault_plan.Set(fwfault::FaultKind::kHostSlowdown, 0.03);
+  cc.fault_plan.Set(fwfault::FaultKind::kHeartbeatLoss, 0.4);
+  cc.fault_seed = 99;
+  cc.slow_host_mean_delay = Duration::Millis(150);
+  Cluster cluster(sim, std::move(hosts), cc);
+
+  fwwork::LoadGenConfig lg;
+  lg.arrival = ArrivalProcess::kBursty;
+  lg.rate_per_sec = 1200.0;
+  lg.num_apps = 6;
+  lg.seed = 99;
+  fwwork::LoadGen gen(lg);
+  for (int a = 0; a < lg.num_apps; ++a) {
+    fwlang::FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency,
+                                                    fwlang::Language::kNodeJs);
+    fn.name = fwbase::StrFormat("app-%d", a);
+    FW_CHECK(RunSync(sim, cluster.InstallAll(fn)).ok());
+  }
+  // Faults and membership changes on a fixed schedule: a partition long
+  // enough to take a host through suspect to dead and back, a crash and
+  // restart, a join whose host crashes mid-warm-up (admitted silent, so
+  // only phi can find it dead), a zone outage and one decommission.
+  sim.Spawn([](fwsim::Simulation& s, Cluster& c) -> fwsim::Co<void> {
+    co_await fwsim::Delay(s, Duration::Millis(400));
+    c.PartitionHost(2, Duration::Millis(2500));
+    co_await fwsim::Delay(s, Duration::Millis(300));
+    c.CrashHost(4);
+    co_await fwsim::Delay(s, Duration::Millis(500));
+    const int joiner = c.AddHost();
+    co_await fwsim::Delay(s, Duration::Millis(5));
+    EXPECT_NE(c.lifecycle(joiner), HostLifecycle::kActive);
+    c.CrashHost(joiner);
+    co_await fwsim::Delay(s, Duration::Millis(500));
+    c.RestartHost(4);
+    c.KillZone(0);
+    co_await fwsim::Delay(s, Duration::Millis(700));
+    c.RestoreZone(0);
+    c.RemoveHost(1);
+    c.RestartHost(joiner);
+  }(sim, cluster));
+  constexpr int kInvocations = 5000;
+  sim.Spawn(DriveArrivals(sim, cluster, gen, kInvocations));
+
+  ViewCoverage coverage;
+  uint64_t submitted = cluster.submitted();
+  while (cluster.terminal() < kInvocations && sim.StepOne()) {
+    // A step that submitted ran one Dispatch, and nothing after it at that
+    // instant can have made a host due.
+    const bool dispatched = cluster.submitted() != submitted;
+    submitted = cluster.submitted();
+    ExpectViewsMatchRecomputation(cluster, sim.Now(), dispatched, coverage);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  cluster.Drain(kInvocations);
+
+  // The run exercised every input of the views.
+  const Cluster::Rollup r = cluster.ComputeRollup();
+  EXPECT_EQ(coverage.dispatch_checks, static_cast<uint64_t>(kInvocations));
+  EXPECT_GT(coverage.checks, coverage.dispatch_checks);
+  EXPECT_TRUE(coverage.saw_suspect);
+  EXPECT_TRUE(coverage.saw_pressured);
+  EXPECT_TRUE(coverage.saw_unschedulable);
+  EXPECT_GT(r.suspects, 0u);
+  EXPECT_GT(r.detector_deaths, 0u);
+  EXPECT_GT(r.reinstated, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_GT(r.hedges, 0u);
+  EXPECT_GT(r.brownout_discards, 0u);
+  EXPECT_EQ(r.hosts_added, 1u);
+  EXPECT_EQ(r.hosts_removed, 1u);
+  EXPECT_GT(r.distribution.cold_fetches, 0u);
+  EXPECT_EQ(r.completed + r.failed, static_cast<uint64_t>(kInvocations));
 }
 
 // ---------------------------------------------------------------------------
