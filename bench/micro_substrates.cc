@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the simulator's substrate hot paths:
 // event-queue throughput, coroutine spawn/resume, page-set operations, CoW
-// fault handling, snapshot take/restore, and message-bus round trips. These
-// bound how large an experiment the simulator can drive (e.g. Fig 10's ~900
-// microVMs with hundreds of thousands of page operations each).
+// fault handling, random-fraction page walks, snapshot take/restore, and
+// message-bus round trips. These bound how large an experiment the simulator
+// can drive (e.g. Fig 10's ~900 microVMs with hundreds of thousands of page
+// operations each).
 #include <benchmark/benchmark.h>
 
 #include "src/mem/address_space.h"
@@ -78,6 +79,33 @@ void BM_CowFaultPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pages * 2);
 }
 BENCHMARK(BM_CowFaultPath);
+
+void BM_RandomFractionWarmClone(benchmark::State& state) {
+  // The random-fraction walks of a warm restore on a 64 MiB image-backed
+  // clone: a sparse touch, a sparse dirty, then a wide touch. A resident
+  // sibling keeps the image in the page cache, so reads fault minor and
+  // writes copy shared pages.
+  fwmem::HostMemory host(64_GiB);
+  std::shared_ptr<fwmem::SnapshotImage> image;
+  {
+    fwmem::AddressSpace builder(host);
+    auto seg = builder.AddSegment("mem", 64_MiB);
+    builder.DirtyBytes(seg, 64_MiB);
+    image = builder.TakeSnapshot("img");
+  }
+  fwmem::AddressSpace sibling(host, image);
+  sibling.TouchBytes(0, 64_MiB);
+  const uint64_t pages = fwbase::PagesFor(64_MiB);
+  for (auto _ : state) {
+    fwmem::AddressSpace clone(host, image);
+    auto faults = clone.TouchRandomFraction(0, 0.04, 7);
+    faults += clone.DirtyRandomFraction(0, 0.02, 8);
+    faults += clone.TouchRandomFraction(0, 0.62, 42);
+    benchmark::DoNotOptimize(faults.Faults());
+  }
+  state.SetItemsProcessed(state.iterations() * pages * 3);
+}
+BENCHMARK(BM_RandomFractionWarmClone);
 
 void BM_PssAccounting(benchmark::State& state) {
   fwmem::HostMemory host(64_GiB);

@@ -20,6 +20,7 @@
 #ifndef FIREWORKS_SRC_MEM_ADDRESS_SPACE_H_
 #define FIREWORKS_SRC_MEM_ADDRESS_SPACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,7 +67,9 @@ class SnapshotImage {
   // Pages with stored content; determines the snapshot file size on disk.
   uint64_t valid_pages() const { return valid_.Count(); }
   uint64_t file_bytes() const { return valid_pages() * fwbase::kPageSize; }
-  bool IsValid(uint64_t page) const { return valid_.Test(page); }
+  // Word wi of the valid-page bitmap (see PageSet::Word): the pages with
+  // stored content. Words past the image's end read as all-invalid.
+  uint64_t ValidWord(size_t wi) const { return wi < valid_.num_words() ? valid_.Word(wi) : 0; }
 
   BackingStore& backing() { return backing_; }
   const BackingStore& backing() const { return backing_; }
@@ -194,9 +197,10 @@ class AddressSpace {
   void set_guest_identity(const GuestIdentityRecord& identity) { guest_identity_ = identity; }
 
  private:
-  uint64_t GlobalPage(SegmentId seg, uint64_t offset) const;
   FaultCounts AccessRange(SegmentId seg, uint64_t first, uint64_t count, bool write);
-  void AccessPage(uint64_t page, bool write, FaultCounts& out);
+  FaultCounts AccessRandomFraction(SegmentId seg, double fraction, uint64_t salt, bool write);
+  // Reads or writes the pages selected by `mask` in bitmap word wi.
+  void AccessWord(size_t wi, uint64_t mask, bool write, FaultCounts& out);
   void GrowTo(uint64_t pages);
 
   HostMemory& host_;

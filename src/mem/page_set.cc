@@ -1,56 +1,29 @@
 #include "src/mem/page_set.h"
 
 #include <algorithm>
-#include <bit>
-
-#include "src/base/check.h"
 
 namespace fwmem {
 
-PageSet::PageSet(uint64_t num_pages) : num_pages_(num_pages), words_((num_pages + 63) / 64, 0) {}
+PageSet::PageSet(uint64_t num_pages)
+    : num_pages_(num_pages), words_((num_pages + kWordBits - 1) / kWordBits, 0) {}
 
 void PageSet::Grow(uint64_t new_num_pages) {
   FW_CHECK(new_num_pages >= num_pages_);
   num_pages_ = new_num_pages;
-  words_.resize((new_num_pages + 63) / 64, 0);
-}
-
-bool PageSet::Test(uint64_t page) const {
-  FW_DCHECK(page < num_pages_);
-  return (words_[page / 64] >> (page % 64)) & 1;
-}
-
-void PageSet::Set(uint64_t page) {
-  FW_DCHECK(page < num_pages_);
-  uint64_t& w = words_[page / 64];
-  const uint64_t bit = 1ULL << (page % 64);
-  if ((w & bit) == 0) {
-    w |= bit;
-    ++count_;
-  }
-}
-
-void PageSet::Clear(uint64_t page) {
-  FW_DCHECK(page < num_pages_);
-  uint64_t& w = words_[page / 64];
-  const uint64_t bit = 1ULL << (page % 64);
-  if ((w & bit) != 0) {
-    w &= ~bit;
-    --count_;
-  }
+  words_.resize((new_num_pages + kWordBits - 1) / kWordBits, 0);
 }
 
 void PageSet::SetRange(uint64_t first, uint64_t count) {
   const uint64_t end = std::min(first + count, num_pages_);
-  for (uint64_t p = first; p < end; ++p) {
-    Set(p);
+  for (uint64_t wi = first / kWordBits; wi * kWordBits < end; ++wi) {
+    OrWord(wi, RangeMask(wi, first, end));
   }
 }
 
 void PageSet::ClearRange(uint64_t first, uint64_t count) {
   const uint64_t end = std::min(first + count, num_pages_);
-  for (uint64_t p = first; p < end; ++p) {
-    Clear(p);
+  for (uint64_t wi = first / kWordBits; wi * kWordBits < end; ++wi) {
+    AndNotWord(wi, RangeMask(wi, first, end));
   }
 }
 
@@ -62,44 +35,10 @@ void PageSet::ClearAll() {
 uint64_t PageSet::CountRange(uint64_t first, uint64_t count) const {
   const uint64_t end = std::min(first + count, num_pages_);
   uint64_t n = 0;
-  for (uint64_t p = first; p < end; ++p) {
-    if (Test(p)) {
-      ++n;
-    }
+  for (uint64_t wi = first / kWordBits; wi * kWordBits < end; ++wi) {
+    n += static_cast<uint64_t>(std::popcount(words_[wi] & RangeMask(wi, first, end)));
   }
   return n;
-}
-
-void PageSet::ForEachSet(const std::function<void(uint64_t)>& fn) const {
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
-    uint64_t w = words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      fn(wi * 64 + static_cast<uint64_t>(bit));
-      w &= w - 1;
-    }
-  }
-}
-
-void PageSet::ForEachRange(const std::function<void(uint64_t, uint64_t)>& fn) const {
-  bool open = false;
-  uint64_t first = 0;
-  uint64_t prev = 0;
-  ForEachSet([&](uint64_t page) {
-    if (open && page == prev + 1) {
-      prev = page;
-      return;
-    }
-    if (open) {
-      fn(first, prev - first + 1);
-    }
-    open = true;
-    first = page;
-    prev = page;
-  });
-  if (open) {
-    fn(first, prev - first + 1);
-  }
 }
 
 void PageSet::UnionWith(const PageSet& other) {

@@ -1,5 +1,6 @@
 #include "src/simcore/simulation.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/check.h"
@@ -58,12 +59,13 @@ void Simulation::InstallLogTimeSource() {
 
 void Simulation::Schedule(Duration delay, std::function<void()> fn) {
   FW_CHECK_MSG(!delay.is_negative(), "cannot schedule in the past");
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn)});
+  ScheduleAt(now_ + delay, std::move(fn));
 }
 
 void Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
   FW_CHECK_MSG(when >= now_, "cannot schedule in the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{when, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
 void Simulation::set_profiler(fwobs::Profiler* profiler) {
@@ -109,11 +111,9 @@ bool Simulation::StepOne() {
   if (queue_.empty()) {
     return false;
   }
-  // std::priority_queue::top() is const; the event is copied out. Event
-  // functions are cheap to move once, so pull via const_cast-free copy of the
-  // handle-holding function.
-  Event ev = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
   FW_CHECK(ev.when >= now_);
   now_ = ev.when;
   ++events_processed_;
@@ -133,7 +133,7 @@ void Simulation::Run() {
 
 bool Simulation::RunUntil(SimTime t) {
   stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty() && queue_.top().when <= t) {
+  while (!stop_requested_ && !queue_.empty() && queue_.front().when <= t) {
     StepOne();
   }
   if (now_ < t && !stop_requested_) {

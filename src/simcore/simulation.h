@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -106,7 +105,12 @@ class Simulation {
   uint64_t next_root_id_ = 1;
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // A binary heap under EventLater (std::push_heap/std::pop_heap), so
+  // StepOne can move the earliest event out instead of copying it. Bounded
+  // by what the model has scheduled: one pending event per live timer or
+  // suspended coroutine, whose request-driven share admission control caps
+  // (src/cluster/admission.h).
+  std::vector<Event> queue_;  // fwlint:allow(unbounded-queue)
   // Ordered by root id so teardown destroys frames in spawn order; with an
   // unordered map the destructor's iteration (and any destructor side
   // effects, e.g. logging) would follow hash order. Flagged by

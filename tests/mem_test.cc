@@ -2,8 +2,13 @@
 // accounting, CoW snapshot mappings, and smem-style PSS/RSS/USS metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/base/rng.h"
 #include "src/mem/address_space.h"
 #include "src/mem/backing_store.h"
 #include "src/mem/host_memory.h"
@@ -76,6 +81,95 @@ TEST(PageSetTest, GrowPreservesBits) {
   EXPECT_FALSE(s.Test(500));
   s.Set(1000);
   EXPECT_EQ(s.Count(), 2u);
+}
+
+TEST(PageSetTest, RangeMaskSelectsTheWordsShareOfARange) {
+  EXPECT_EQ(PageSet::RangeMask(0, 0, 64), ~0ULL);
+  EXPECT_EQ(PageSet::RangeMask(0, 3, 5), 0b11000ULL);
+  EXPECT_EQ(PageSet::RangeMask(1, 60, 70), 0b111111ULL);
+  EXPECT_EQ(PageSet::RangeMask(0, 60, 70), 0xFULL << 60);
+  EXPECT_EQ(PageSet::RangeMask(2, 60, 70), 0u);
+  EXPECT_EQ(PageSet::RangeMask(1, 70, 70), 0u);
+}
+
+// Word and range operations against a per-bit reference, on sizes whose last
+// word is partial and with ranges that straddle word boundaries.
+TEST(PageSetTest, WordAndRangeOpsMatchPerBitReference) {
+  fwbase::Rng rng(7);
+  for (const uint64_t size : {1u, 63u, 64u, 65u, 130u, 200u}) {
+    PageSet s(size);
+    std::vector<bool> ref(size, false);
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t first = rng.UniformU64(size + 2);
+      const uint64_t count = rng.UniformU64(size + 70);
+      const size_t wi = rng.UniformU64(s.num_words());
+      const uint64_t mask = rng.NextU64() & PageSet::RangeMask(wi, 0, size);
+      switch (rng.UniformU64(6)) {
+        case 0:
+          s.SetRange(first, count);
+          for (uint64_t p = first; p < first + count && p < size; ++p) {
+            ref[p] = true;
+          }
+          break;
+        case 1:
+          s.ClearRange(first, count);
+          for (uint64_t p = first; p < first + count && p < size; ++p) {
+            ref[p] = false;
+          }
+          break;
+        case 2:
+          s.OrWord(wi, mask);
+          for (uint64_t b = 0; b < 64; ++b) {
+            if ((mask >> b) & 1) {
+              ref[wi * 64 + b] = true;
+            }
+          }
+          break;
+        case 3:
+          s.AndNotWord(wi, mask);
+          for (uint64_t b = 0; b < 64; ++b) {
+            if ((mask >> b) & 1) {
+              ref[wi * 64 + b] = false;
+            }
+          }
+          break;
+        case 4:
+          s.Set(first % size);
+          ref[first % size] = true;
+          break;
+        default:
+          s.Clear(first % size);
+          ref[first % size] = false;
+          break;
+      }
+      uint64_t total = 0;
+      uint64_t in_range = 0;
+      for (uint64_t p = 0; p < size; ++p) {
+        ASSERT_EQ(s.Test(p), ref[p]) << "size " << size << " op " << op << " page " << p;
+        ASSERT_EQ(((s.Word(p / 64) >> (p % 64)) & 1) != 0, ref[p]);
+        total += ref[p] ? 1 : 0;
+        in_range += (ref[p] && p >= first && p < first + count) ? 1 : 0;
+      }
+      ASSERT_EQ(s.Count(), total);
+      ASSERT_EQ(s.CountRange(first, count), in_range);
+    }
+    // ForEachRange reports exactly the maximal runs of the reference.
+    std::vector<bool> rebuilt(size, false);
+    uint64_t prev_end = 0;
+    bool any = false;
+    s.ForEachRange([&](uint64_t first, uint64_t count) {
+      ASSERT_GT(count, 0u);
+      if (any) {
+        EXPECT_GT(first, prev_end);  // Maximal: runs never touch.
+      }
+      for (uint64_t p = first; p < first + count; ++p) {
+        rebuilt[p] = true;
+      }
+      prev_end = first + count;
+      any = true;
+    });
+    EXPECT_EQ(rebuilt, ref);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,6 +286,18 @@ TEST(AddressSpaceDeathTest, AccessBeyondSegmentAborts) {
   AddressSpace space(host);
   const SegmentId seg = space.AddSegment("small", 4 * kPageSize);
   EXPECT_DEATH(space.Touch(seg, 0, 5), "beyond segment");
+}
+
+TEST(AddressSpaceDeathTest, AccessAfterUnmapAborts) {
+  // Unmap is final: the destructor's Unmap would not free frames taken after
+  // it, so every access path refuses an unmapped space.
+  HostMemory host(1_GiB);
+  AddressSpace space(host);
+  const SegmentId seg = space.AddSegment("heap", 4 * kPageSize);
+  space.Unmap();
+  EXPECT_DEATH(space.Dirty(seg, 0, 1), "unmapped_");
+  EXPECT_DEATH(space.DirtyRandomFraction(seg, 1.0, 1), "unmapped_");
+  EXPECT_DEATH(space.TouchRandomFraction(seg, 0.5, 1), "unmapped_");
 }
 
 // ---------------------------------------------------------------------------
@@ -383,6 +489,337 @@ TEST_P(PssConservationTest, PssSumsToHostFrames) {
 }
 
 INSTANTIATE_TEST_SUITE_P(VmCounts, PssConservationTest, ::testing::Values(1, 2, 3, 5, 8, 16));
+
+// ---------------------------------------------------------------------------
+// Differential test: AddressSpace walks 64 pages a word at a time; this
+// reference model is the page-by-page state machine it must reproduce, with
+// its own per-page refcounts and frame counters.
+// ---------------------------------------------------------------------------
+
+struct RefHost {
+  uint64_t used = 0;
+  uint64_t peak = 0;
+  uint64_t allocated = 0;
+  uint64_t freed = 0;
+
+  void Alloc() {
+    ++used;
+    ++allocated;
+    peak = std::max(peak, used);
+  }
+  void Free() {
+    --used;
+    ++freed;
+  }
+};
+
+// The image's page-cache refcounts, shared by every reference clone.
+struct RefImage {
+  std::vector<bool> valid;
+  std::vector<uint32_t> refs;
+};
+
+uint64_t RefThreshold(double fraction) {
+  if (fraction >= 1.0) {
+    return UINT64_MAX;
+  }
+  return static_cast<uint64_t>(fraction * 18446744073709551616.0);
+}
+
+uint64_t RefMixPage(uint64_t salt, uint64_t page) {
+  uint64_t z = salt ^ (page * 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+class RefSpace {
+ public:
+  enum class State : uint8_t { kAbsent, kShared, kPrivate, kZero };
+
+  // A restored space starts with the image's layout; a fresh one is empty.
+  RefSpace(RefHost& host, RefImage* image, const std::vector<SegmentLayout>& layout)
+      : host_(host), image_(image) {
+    for (const auto& seg : layout) {
+      AddSegment(seg.pages);
+    }
+  }
+
+  void AddSegment(uint64_t pages) {
+    bases_.push_back(state_.size());
+    sizes_.push_back(pages);
+    Grow(state_.size() + pages);
+  }
+
+  FaultCounts Access(size_t seg, uint64_t first, uint64_t count, bool write) {
+    FaultCounts out;
+    for (uint64_t i = first; i < first + count; ++i) {
+      AccessPage(bases_[seg] + i, write, out);
+    }
+    return out;
+  }
+
+  FaultCounts AccessFraction(size_t seg, double fraction, uint64_t salt, bool write) {
+    FaultCounts out;
+    const uint64_t threshold = RefThreshold(fraction);
+    for (uint64_t i = 0; i < sizes_[seg]; ++i) {
+      const uint64_t page = bases_[seg] + i;
+      if (fraction >= 1.0 || RefMixPage(salt, page) < threshold) {
+        AccessPage(page, write, out);
+      }
+    }
+    return out;
+  }
+
+  void Unmap() {
+    for (uint64_t p = 0; p < state_.size(); ++p) {
+      if (state_[p] == State::kShared) {
+        Unref(p);
+      } else if (state_[p] == State::kPrivate) {
+        host_.Free();
+      }
+      state_[p] = State::kAbsent;
+    }
+  }
+
+  uint64_t CountIn(State s) const {
+    return static_cast<uint64_t>(std::count(state_.begin(), state_.end(), s));
+  }
+  uint64_t rss_bytes() const {
+    return (state_.size() - CountIn(State::kAbsent)) * kPageSize;
+  }
+  uint64_t uss_bytes() const { return CountIn(State::kPrivate) * kPageSize; }
+  double pss_bytes() const {
+    double pages = static_cast<double>(CountIn(State::kPrivate));
+    for (uint64_t p = 0; p < state_.size(); ++p) {
+      if (state_[p] == State::kShared) {
+        pages += 1.0 / static_cast<double>(image_->refs[p]);
+      }
+    }
+    return pages * static_cast<double>(kPageSize);
+  }
+  const std::vector<bool>& touched() const { return touched_; }
+  // The pages a snapshot of this space stores: resident and private ones.
+  std::vector<bool> WithContent() const {
+    std::vector<bool> out(state_.size());
+    for (uint64_t p = 0; p < state_.size(); ++p) {
+      out[p] = state_[p] == State::kShared || state_[p] == State::kPrivate;
+    }
+    return out;
+  }
+  size_t num_segments() const { return sizes_.size(); }
+  uint64_t segment_pages(size_t seg) const { return sizes_[seg]; }
+
+ private:
+  void Grow(uint64_t pages) {
+    state_.resize(pages, State::kAbsent);
+    touched_.resize(pages, false);
+  }
+  bool ImageValid(uint64_t page) const {
+    return image_ != nullptr && page < image_->valid.size() && image_->valid[page];
+  }
+  void Unref(uint64_t page) {
+    if (--image_->refs[page] == 0) {
+      host_.Free();
+    }
+  }
+  void MakePrivate(uint64_t page) {
+    host_.Alloc();
+    state_[page] = State::kPrivate;
+  }
+
+  // The pre-word-walk AddressSpace::AccessPage, page by page.
+  void AccessPage(uint64_t page, bool write, FaultCounts& out) {
+    State& st = state_[page];
+    if (st == State::kPrivate) {
+      ++out.already_mapped;
+      return;
+    }
+    if (!write) {
+      if (st != State::kAbsent) {
+        ++out.already_mapped;
+      } else if (ImageValid(page)) {
+        if (image_->refs[page]++ == 0) {
+          host_.Alloc();
+          ++out.major_faults;
+        } else {
+          ++out.minor_shared;
+        }
+        st = State::kShared;
+        touched_[page] = true;
+      } else if (image_ == nullptr) {
+        MakePrivate(page);
+        ++out.fresh_writes;
+      } else {
+        st = State::kZero;
+        ++out.zero_fills;
+      }
+      return;
+    }
+    if (st == State::kShared) {
+      Unref(page);
+      MakePrivate(page);
+      ++out.cow_copies;
+    } else if (st == State::kZero || !ImageValid(page)) {
+      MakePrivate(page);
+      ++out.fresh_writes;
+    } else {
+      MakePrivate(page);
+      touched_[page] = true;
+      ++out.cow_copies;
+    }
+  }
+
+  RefHost& host_;
+  RefImage* image_;
+  std::vector<uint64_t> bases_;
+  std::vector<uint64_t> sizes_;
+  std::vector<State> state_;
+  std::vector<bool> touched_;
+};
+
+void ExpectSameCounts(const FaultCounts& got, const FaultCounts& want) {
+  EXPECT_EQ(got.major_faults, want.major_faults);
+  EXPECT_EQ(got.minor_shared, want.minor_shared);
+  EXPECT_EQ(got.zero_fills, want.zero_fills);
+  EXPECT_EQ(got.cow_copies, want.cow_copies);
+  EXPECT_EQ(got.fresh_writes, want.fresh_writes);
+  EXPECT_EQ(got.already_mapped, want.already_mapped);
+}
+
+// One live space and its reference twin.
+struct Twin {
+  std::unique_ptr<AddressSpace> space;
+  std::unique_ptr<RefSpace> ref;
+};
+
+class WordWalkDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr uint64_t kSegmentPages[] = {1, 63, 64, 65, 130};
+  static constexpr double kFractions[] = {0.0, 0.02, 0.5, 1.0};
+
+  // One random access on `t`, applied to both sides.
+  void RandomAccess(Twin& t) {
+    const size_t seg = rng_.UniformU64(t.ref->num_segments());
+    const uint64_t pages = t.ref->segment_pages(seg);
+    const bool write = rng_.Chance(0.5);
+    const auto sid = static_cast<SegmentId>(seg);
+    FaultCounts got;
+    FaultCounts want;
+    if (rng_.Chance(0.5)) {
+      const uint64_t first = rng_.UniformU64(pages + 1);
+      const uint64_t count = rng_.UniformU64(pages - first + 1);
+      got = write ? t.space->Dirty(sid, first, count) : t.space->Touch(sid, first, count);
+      want = t.ref->Access(seg, first, count, write);
+    } else {
+      const double fraction = kFractions[rng_.UniformU64(4)];
+      const uint64_t salt = rng_.UniformU64(4);  // Repeats, so selections overlap.
+      got = write ? t.space->DirtyRandomFraction(sid, fraction, salt)
+                  : t.space->TouchRandomFraction(sid, fraction, salt);
+      want = t.ref->AccessFraction(seg, fraction, salt, write);
+    }
+    ExpectSameCounts(got, want);
+  }
+
+  void ExpectSameState(const std::vector<Twin*>& live) {
+    for (const Twin* t : live) {
+      EXPECT_EQ(t->space->rss_bytes(), t->ref->rss_bytes());
+      EXPECT_EQ(t->space->uss_bytes(), t->ref->uss_bytes());
+      EXPECT_EQ(t->space->pss_bytes(), t->ref->pss_bytes());
+      const PageSet& touched = t->space->image_touched();
+      ASSERT_EQ(touched.size(), t->ref->touched().size());
+      for (uint64_t p = 0; p < touched.size(); ++p) {
+        ASSERT_EQ(touched.Test(p), t->ref->touched()[p]) << "page " << p;
+      }
+    }
+    if (image_ != nullptr) {
+      for (uint64_t p = 0; p < ref_image_.refs.size(); ++p) {
+        ASSERT_EQ(image_->backing().ResidentRefs(p), ref_image_.refs[p]) << "page " << p;
+      }
+    }
+    EXPECT_EQ(host_.used_frames(), ref_host_.used);
+    EXPECT_EQ(host_.peak_used_bytes(), ref_host_.peak * kPageSize);
+    EXPECT_EQ(host_.total_allocated_frames(), ref_host_.allocated);
+    EXPECT_EQ(host_.total_freed_frames(), ref_host_.freed);
+  }
+
+  Twin MakeFresh() {
+    Twin t{std::make_unique<AddressSpace>(host_),
+           std::make_unique<RefSpace>(ref_host_, nullptr, std::vector<SegmentLayout>{})};
+    for (const uint64_t pages : kSegmentPages) {
+      t.space->AddSegment("s" + std::to_string(pages), pages * kPageSize);
+      t.ref->AddSegment(pages);
+    }
+    return t;
+  }
+
+  Twin MakeClone() {
+    Twin t{std::make_unique<AddressSpace>(host_, image_),
+           std::make_unique<RefSpace>(ref_host_, &ref_image_, image_->segments())};
+    // A segment added after restore lies past the image's end.
+    t.space->AddSegment("late", 65 * kPageSize);
+    t.ref->AddSegment(65);
+    return t;
+  }
+
+  fwbase::Rng rng_{GetParam()};
+  HostMemory host_{1_GiB};
+  RefHost ref_host_;
+  std::shared_ptr<SnapshotImage> image_;
+  RefImage ref_image_;
+};
+
+TEST_P(WordWalkDifferentialTest, FreshSpaceMatchesPageByPageModel) {
+  Twin t = MakeFresh();
+  for (int op = 0; op < 150; ++op) {
+    RandomAccess(t);
+    ExpectSameState({&t});
+    ASSERT_FALSE(HasFailure()) << "seed " << GetParam() << " op " << op;
+  }
+  t.space->Unmap();
+  t.ref->Unmap();
+  ExpectSameState({});
+}
+
+TEST_P(WordWalkDifferentialTest, TwoClonesOfOneImageMatchPageByPageModel) {
+  {
+    // The source maps only part of its pages, so the image has holes that
+    // clones read as zero pages.
+    Twin src = MakeFresh();
+    for (int op = 0; op < 6; ++op) {
+      RandomAccess(src);
+    }
+    ExpectSameState({&src});
+    image_ = src.space->TakeSnapshot("img");
+    ref_image_.valid = src.ref->WithContent();
+    ref_image_.refs.assign(ref_image_.valid.size(), 0);
+    ASSERT_EQ(image_->total_pages(), ref_image_.valid.size());
+    for (uint64_t p = 0; p < image_->total_pages(); ++p) {
+      ASSERT_EQ(((image_->ValidWord(p / 64) >> (p % 64)) & 1) != 0, ref_image_.valid[p]);
+    }
+    src.space.reset();
+    src.ref->Unmap();
+  }
+  Twin a = MakeClone();
+  Twin b = MakeClone();
+  ExpectSameState({&a, &b});
+  for (int op = 0; op < 300; ++op) {
+    if (op == 250) {
+      a.space->Unmap();
+      a.ref->Unmap();
+    }
+    Twin& t = (op >= 250 || rng_.Chance(0.5)) ? b : a;
+    RandomAccess(t);
+    if (op >= 250) {
+      ExpectSameState({&b});
+    } else {
+      ExpectSameState({&a, &b});
+    }
+    ASSERT_FALSE(HasFailure()) << "seed " << GetParam() << " op " << op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WordWalkDifferentialTest, ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace fwmem
