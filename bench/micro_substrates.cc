@@ -1,5 +1,6 @@
 // google-benchmark micro-benchmarks for the simulator's substrate hot paths:
-// event-queue throughput, coroutine spawn/resume, page-set operations, CoW
+// event-queue throughput, coroutine spawn/resume, zero-delay channel
+// wake-ups, page-set operations, CoW
 // fault handling, random-fraction page walks, snapshot take/restore, and
 // message-bus round trips. These bound how large an experiment the simulator
 // can drive (e.g. Fig 10's ~900 microVMs with hundreds of thousands of page
@@ -47,6 +48,35 @@ void BM_CoroutineSpawnResume(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks);
 }
 BENCHMARK(BM_CoroutineSpawnResume)->Arg(1000);
+
+// Two coroutines bounce a token through a pair of channels. Every Send wakes
+// the blocked receiver with a zero-delay resume, so this times zero-delay
+// wake-ups through the event queue: no simulated time passes during a run.
+void BM_ChannelPingPong(benchmark::State& state) {
+  const int rounds = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    fwsim::Simulation sim;
+    fwsim::Channel<int> ping(sim);
+    fwsim::Channel<int> pong(sim);
+    sim.Spawn([](fwsim::Channel<int>& in, fwsim::Channel<int>& out, int n) -> fwsim::Co<void> {
+      for (int i = 0; i < n; ++i) {
+        out.Send(co_await in.Recv() + 1);
+      }
+    }(ping, pong, rounds));
+    sim.Spawn([](fwsim::Channel<int>& in, fwsim::Channel<int>& out, int n) -> fwsim::Co<void> {
+      int token = 0;
+      for (int i = 0; i < n; ++i) {
+        out.Send(token);
+        token = co_await in.Recv();
+      }
+      benchmark::DoNotOptimize(token);
+    }(pong, ping, rounds));
+    sim.Run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * rounds);
+}
+BENCHMARK(BM_ChannelPingPong)->Arg(10000);
 
 void BM_PageSetSetRange(benchmark::State& state) {
   const uint64_t pages = 131072;  // 512 MiB of 4 KiB pages.

@@ -62,31 +62,35 @@ RetryBudget::RetryBudget(bool enabled, double deposit_ratio, double burst)
   FW_CHECK(burst >= 1.0);
 }
 
-void RetryBudget::OnAccepted(const std::string& app) {
+double& RetryBudget::Bucket(AppId app) {
+  if (app >= tokens_.size()) {
+    tokens_.resize(static_cast<size_t>(app) + 1, burst_);
+  }
+  return tokens_[app];
+}
+
+void RetryBudget::OnAccepted(AppId app) {
   if (!enabled_) {
     return;
   }
-  auto [it, inserted] = tokens_.emplace(app, burst_);
-  if (!inserted) {
-    it->second = std::min(burst_, it->second + deposit_ratio_);
-  }
+  double& tokens = Bucket(app);
+  tokens = std::min(burst_, tokens + deposit_ratio_);
 }
 
-bool RetryBudget::TrySpend(const std::string& app) {
+bool RetryBudget::TrySpend(AppId app) {
   if (!enabled_) {
     return true;
   }
-  auto [it, inserted] = tokens_.emplace(app, burst_);
-  if (it->second < 1.0) {
+  double& tokens = Bucket(app);
+  if (tokens < 1.0) {
     return false;
   }
-  it->second -= 1.0;
+  tokens -= 1.0;
   return true;
 }
 
-double RetryBudget::tokens(const std::string& app) const {
-  auto it = tokens_.find(app);
-  return it == tokens_.end() ? burst_ : it->second;
+double RetryBudget::tokens(AppId app) const {
+  return app < tokens_.size() ? tokens_[app] : burst_;
 }
 
 }  // namespace fwcluster

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "src/base/check.h"
@@ -41,11 +43,9 @@ constexpr size_t kHedgeWindow = 1024;
 
 // Folds one autoscale tick's arrivals of `app` into its rate EWMA (per
 // second) and returns the new value.
-double TickRateEwma(const std::map<std::string, uint64_t>& arrivals,
-                    std::map<std::string, double>& rate_ewma, const std::string& app) {
-  const auto it = arrivals.find(app);
-  const double observed = (it == arrivals.end() ? 0.0 : static_cast<double>(it->second)) /
-                          kAutoscaleInterval.seconds();
+double TickRateEwma(const std::vector<uint64_t>& arrivals, std::vector<double>& rate_ewma,
+                    AppId app) {
+  const double observed = static_cast<double>(arrivals[app]) / kAutoscaleInterval.seconds();
   double& ewma = rate_ewma[app];
   ewma = kAutoscaleEwmaAlpha * observed + (1.0 - kAutoscaleEwmaAlpha) * ewma;
   return ewma;
@@ -79,6 +79,16 @@ Cluster::Counters::Counters(fwobs::MetricsRegistry& metrics)
       hosts_removed(metrics.GetCounter("cluster.hosts_removed")),
       hosts_decommissioned(metrics.GetCounter("cluster.hosts_decommissioned")) {}
 
+Cluster::SampledGauges::SampledGauges(fwobs::MetricsRegistry& metrics)
+    : pss_bytes(metrics.GetGauge("cluster.pss_bytes")),
+      live_vms(metrics.GetGauge("cluster.live_vms")),
+      hosts_alive(metrics.GetGauge("fleet.hosts.alive")),
+      hosts_active(metrics.GetGauge("fleet.hosts.active")),
+      zones_alive(metrics.GetGauge("fleet.zones.alive")),
+      queue_depth(metrics.GetGauge("fleet.queue.depth")),
+      inflight(metrics.GetGauge("fleet.inflight")),
+      warm_hits(metrics.GetGauge("fleet.warm_hits")) {}
+
 Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost>> hosts,
                  const Config& config)
     : sim_(sim),
@@ -101,7 +111,7 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   invoke_scope_ = obs_.profiler().RegisterScope("cluster.worker.invoke");
   if (config.distribution.enabled) {
     distribution_ = std::make_unique<SnapshotDistribution>(
-        sim, static_cast<int>(hosts.size()), config.distribution, obs_, &injector_);
+        sim, static_cast<int>(hosts.size()), config.distribution, obs_, &injector_, apps_);
   }
   FW_CHECK(config.num_zones >= 1);
   hosts_.reserve(hosts.size());
@@ -143,6 +153,9 @@ int Cluster::NewHostState(std::unique_ptr<ClusterHost> host, int zone,
   hs->queue = std::make_unique<fwsim::Channel<Request>>(sim_);
   hs->zone = zone;
   hs->lifecycle = lifecycle;
+  hs->arrivals.resize(apps_.size());
+  hs->rate_ewma.resize(apps_.size());
+  hs->preparing.resize(apps_.size());
   hosts_.push_back(std::move(hs));
   HostView view;
   view.alive = false;  // SyncHost counts the host in if it is alive.
@@ -151,6 +164,22 @@ int Cluster::NewHostState(std::unique_ptr<ClusterHost> host, int zone,
   SyncHost(index);
   fleet_ledger_.OnProvision(index, sim_.Now());
   return index;
+}
+
+AppId Cluster::Intern(const std::string& name) {
+  const size_t before = apps_.size();
+  const AppId app = apps_.Intern(name);
+  if (apps_.size() > before) {
+    const size_t n = apps_.size();
+    for (const auto& hs : hosts_) {
+      hs->arrivals.resize(n);
+      hs->rate_ewma.resize(n);
+      hs->preparing.resize(n);
+    }
+    spread_arrivals_.resize(n);
+    spread_rate_ewma_.resize(n);
+  }
+  return app;
 }
 
 void Cluster::SpawnHostServices(int host_index) {
@@ -173,7 +202,8 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
       co_return s;
     }
   }
-  installed_.push_back(fn.name);
+  const AppId app = Intern(fn.name);
+  installed_.push_back(app);
   // Retained so a host provisioned later can replay the same installs
   // during its join warm-up.
   installed_sources_.push_back(fn);
@@ -190,8 +220,7 @@ fwsim::Co<Status> Cluster::InstallAll(const fwlang::FunctionSource& fn) {
       }
     }
     FW_CHECK(!eligible.empty());
-    distribution_->Publish(fn.name,
-                           eligible[HashKey(fn.name) % eligible.size()]);
+    distribution_->Publish(app, eligible[HashKey(fn.name) % eligible.size()]);
   }
   co_return Status::Ok();
 }
@@ -265,7 +294,7 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   Request req;
   const uint64_t id = outcomes_.size() + 1;
   req.id = id;
-  req.fn = fn_name;
+  req.app = Intern(fn_name);
   req.args = args;
   req.submitted = sim_.Now();
   if (deadline.nanos() <= 0) {
@@ -280,10 +309,10 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
   // Demand signals for the fleet planner and the zone spreader (pure
   // bookkeeping; both loops are gated off in a default config).
   ++fleet_tick_arrivals_;
-  ++spread_arrivals_[fn_name];
+  ++spread_arrivals_[req.app];
   counters_.submitted.Increment();
   if (config_.hedging) {
-    sim_.Spawn(Hedger(id, fn_name, args, req.submitted, req.deadline));
+    sim_.Spawn(Hedger(id, req.app, args, req.submitted, req.deadline));
   }
   Dispatch(std::move(req));
   return id;
@@ -305,11 +334,11 @@ void Cluster::Dispatch(Request req, int exclude_host) {
   }
   // Snapshot locality over actual chunk placement: the scheduler prefers
   // hosts that already hold the app's snapshot before forcing a cold pull.
-  const auto holds = [this, &req](int h) { return distribution_->Holds(h, req.fn); };
+  const auto holds = [this, &req](int h) { return distribution_->Holds(h, req.app); };
   if (distribution_ != nullptr) {
     in.holds = holds;
   }
-  const int target = scheduler_->Pick(req.fn, in);
+  const int target = scheduler_->Pick(apps_.Name(req.app), in);
   if (target < 0) {
     if (req.hedge) {
       // A hedge copy that cannot be placed is simply abandoned — the primary
@@ -328,7 +357,7 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.shed", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(target));
-      span.SetAttribute("fn", req.fn);
+      span.SetAttribute("fn", apps_.Name(req.app));
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
     }
     if (req.hedge) {
@@ -339,13 +368,13 @@ void Cluster::Dispatch(Request req, int exclude_host) {
     return;
   }
   if (!req.hedge && req.attempts == 1) {
-    retry_budget_.OnAccepted(req.fn);
+    retry_budget_.OnAccepted(req.app);
   }
   if (!req.hedge) {
     primary_host_[req.id - 1] = target;
   }
   AddInflight(target, 1);
-  ++hs.arrivals[req.fn];
+  ++hs.arrivals[req.app];
   hs.queue->Send(std::move(req));
 }
 
@@ -356,13 +385,13 @@ void Cluster::RetryRequest(Request req, int failed_host) {
     RecordFailure(req, Status::Unavailable("retry attempts exhausted"));
     return;
   }
-  if (!retry_budget_.TrySpend(req.fn)) {
+  if (!retry_budget_.TrySpend(req.app)) {
     // The app is already burning its budget on failures: abandoning the
     // retry keeps recovery traffic a bounded fraction of offered load
     // instead of a storm.
     counters_.retry_budget_denied.Increment();
-    RecordFailure(req,
-                  Status::ResourceExhausted("retry budget for " + req.fn + " exhausted"));
+    RecordFailure(req, Status::ResourceExhausted("retry budget for " + apps_.Name(req.app) +
+                                                 " exhausted"));
     return;
   }
   Dispatch(std::move(req), failed_host);
@@ -375,7 +404,7 @@ void Cluster::RecordFailure(const Request& req, Status status) {
   out.latency = sim_.Now() - req.submitted;
   ++out.completions;
   counters_.failed.Increment();
-  slo_.Record(req.fn, /*good=*/false);
+  slo_.Record(req.app, apps_.Name(req.app), /*good=*/false);
 }
 
 void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResult& result,
@@ -399,7 +428,7 @@ void Cluster::RecordCompletion(const Request& req, const fwcore::InvocationResul
     recent_latency_next_ = (recent_latency_next_ + 1) % recent_latency_ms_.size();
   }
   startup_ms_.Add(result.startup.millis());
-  slo_.Record(req.fn, /*good=*/out.latency <= config_.slo.target);
+  slo_.Record(req.app, apps_.Name(req.app), /*good=*/out.latency <= config_.slo.target);
   if (warm_hit) {
     counters_.warm_hits.Increment();
   }
@@ -451,7 +480,7 @@ Duration Cluster::HedgeDelay() const {
   return config_.hedge_min_delay;
 }
 
-fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
+fwsim::Co<void> Cluster::Hedger(uint64_t id, AppId app, std::string args,
                                 fwbase::SimTime submitted, fwbase::SimTime deadline) {
   co_await fwsim::Delay(sim_, HedgeDelay());
   if (!running_ || Terminal(id)) {
@@ -461,11 +490,11 @@ fwsim::Co<void> Cluster::Hedger(uint64_t id, std::string fn, std::string args,
   {
     fwobs::ScopedSpan span(&obs_.tracer(), "cluster.hedge", "cluster");
     span.SetAttribute("request", id);
-    span.SetAttribute("fn", fn);
+    span.SetAttribute("fn", apps_.Name(app));
   }
   Request copy;
   copy.id = id;
-  copy.fn = std::move(fn);
+  copy.app = app;
   copy.args = std::move(args);
   copy.submitted = submitted;  // Latency stays submit→completion.
   copy.deadline = deadline;
@@ -526,9 +555,9 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Cold host: pull the snapshot through the distribution tier (cache →
       // peer → registry), then REAP working-set warm-up, all inside the
       // request's service time. Warm holders pass straight through.
-      const Status pulled = co_await distribution_->EnsureSnapshot(host_index, req.fn);
+      const Status pulled = co_await distribution_->EnsureSnapshot(host_index, req.app);
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
-      co_await distribution_->WarmRestore(host_index, req.fn);
+      co_await distribution_->WarmRestore(host_index, req.app);
     }
     Result<fwcore::InvocationResult> result = Status::Internal("not run");
     // Detached profiler frame: the invocation spans awaits, so it gets
@@ -538,7 +567,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
     {
       fwobs::ScopedSpan span(&obs_.tracer(), "cluster.invoke", "cluster");
       span.SetAttribute("host", static_cast<uint64_t>(host_index));
-      span.SetAttribute("fn", req.fn);
+      span.SetAttribute("fn", apps_.Name(req.app));
       span.SetAttribute("attempt", static_cast<uint64_t>(req.attempts));
       if (req.hedge) {
         span.SetAttribute("hedge", static_cast<uint64_t>(1));
@@ -547,7 +576,7 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       if (req.deadline < fwbase::SimTime::Max()) {
         budget = req.deadline - sim_.Now();
       }
-      result = co_await hs.host->Invoke(req.fn, req.args, budget);
+      result = co_await hs.host->Invoke(apps_.Name(req.app), req.args, budget);
     }
     obs_.profiler().Exit(prof_token);
     // Observed dequeue→response time feeds the admission controller's wait
@@ -604,11 +633,11 @@ fwsim::Co<void> Cluster::Worker(int host_index) {
       // Replenish the consumed clone right away (one for one) instead of
       // waiting for the next autoscaler tick; the tick's shrink hysteresis
       // still trims the pool when the app's rate drops.
-      const int pending = static_cast<int>(hs.host->PooledClones(req.fn)) +
-                          hs.preparing[req.fn];
+      const int pending = static_cast<int>(hs.host->PooledClones(apps_.Name(req.app))) +
+                          hs.preparing[req.app];
       if (pending < kMaxPoolPerApp) {
-        ++hs.preparing[req.fn];
-        sim_.Spawn(PrepareOne(host_index, req.fn, hs.epoch));
+        ++hs.preparing[req.app];
+        sim_.Spawn(PrepareOne(host_index, req.app, hs.epoch));
       }
     }
   }
@@ -642,52 +671,56 @@ fwsim::Co<void> Cluster::Autoscaler(int host_index) {
     if (!hs.alive || hs.lifecycle != HostLifecycle::kActive) {
       // Dead hosts have no pool; joining hosts are warmed by JoinWarmup;
       // draining hosts must bleed, not grow.
-      hs.arrivals.clear();
+      std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
       continue;
     }
     if (health_.pressured(host_index)) {
       // Brownout: shed the parked clones (reclaimable memory) before the
       // host OOMs, and skip growth this tick. The scheduler is already
       // steering new work away via the pressured view bit.
-      for (const std::string& app : installed_) {
-        while (hs.host->PooledClones(app) > 0) {
-          if (!hs.host->DiscardClone(app).ok()) {
+      for (AppId app : installed_) {
+        const std::string& name = apps_.Name(app);
+        while (hs.host->PooledClones(name) > 0) {
+          if (!hs.host->DiscardClone(name).ok()) {
             break;
           }
           counters_.brownout_discards.Increment();
         }
       }
-      hs.arrivals.clear();
+      std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
       continue;
     }
-    for (const std::string& app : installed_) {
+    for (AppId app : installed_) {
+      const std::string& name = apps_.Name(app);
       const double ewma = TickRateEwma(hs.arrivals, hs.rate_ewma, app);
       // Little's law: cover the arrivals that land while a replacement clone
       // is being prepared, with safety headroom.
       const int target = std::min(
           kMaxPoolPerApp,
           static_cast<int>(std::ceil(ewma * hs.prepare_seconds_ewma * kAutoscaleSafety)));
-      const int deficit = target - static_cast<int>(hs.host->PooledClones(app)) -
+      const int deficit = target - static_cast<int>(hs.host->PooledClones(name)) -
                           hs.preparing[app];
       for (int k = 0; k < deficit; ++k) {
         ++hs.preparing[app];
         sim_.Spawn(PrepareOne(host_index, app, hs.epoch));
       }
       // Shrink with hysteresis so a borderline target does not flap.
-      while (static_cast<int>(hs.host->PooledClones(app)) > target + 1) {
-        if (!hs.host->DiscardClone(app).ok()) {
+      while (static_cast<int>(hs.host->PooledClones(name)) > target + 1) {
+        if (!hs.host->DiscardClone(name).ok()) {
           break;
         }
       }
     }
-    hs.arrivals.clear();
+    std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
   }
 }
 
-fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t epoch) {
+fwsim::Co<void> Cluster::PrepareOne(int host_index, AppId app, uint64_t epoch) {
   HostState& hs = *hosts_[host_index];
   const fwbase::SimTime t0 = sim_.Now();
-  Status s = co_await hs.host->PrepareClone(app);
+  // Stays valid across the await: interning never moves a name.
+  const std::string& name = apps_.Name(app);
+  Status s = co_await hs.host->PrepareClone(name);
   --hs.preparing[app];
   if (!s.ok()) {
     co_return;
@@ -696,7 +729,7 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t ep
     // The host crashed (or was decommissioned) while this clone was being
     // prepared: discard it rather than parking it on capacity that no longer
     // exists — leaving it would leak the VM past the host's teardown.
-    (void)hs.host->DiscardClone(app);
+    (void)hs.host->DiscardClone(name);
     co_return;
   }
   hs.prepare_seconds_ewma =
@@ -704,10 +737,14 @@ fwsim::Co<void> Cluster::PrepareOne(int host_index, std::string app, uint64_t ep
 }
 
 fwsim::Co<void> Cluster::Sampler() {
+  std::optional<SampledGauges> gauges;
   while (running_) {
     co_await fwsim::Delay(sim_, kSampleInterval);
     if (!running_) {
       break;
+    }
+    if (!gauges.has_value()) {
+      gauges.emplace(obs_.metrics());
     }
     double pss = 0.0;
     uint64_t vms = 0;
@@ -726,16 +763,16 @@ fwsim::Co<void> Cluster::Sampler() {
     }
     peak_pss_bytes_ = std::max(peak_pss_bytes_, pss);
     peak_live_vms_ = std::max(peak_live_vms_, vms);
-    obs_.metrics().GetGauge("cluster.pss_bytes").Set(pss);
-    obs_.metrics().GetGauge("cluster.live_vms").Set(static_cast<double>(vms));
+    gauges->pss_bytes.Set(pss);
+    gauges->live_vms.Set(static_cast<double>(vms));
     // Fleet-wide rollup gauges: per-host state aggregated at the front end,
     // so one scrape of the cluster registry describes the whole fleet.
-    obs_.metrics().GetGauge("fleet.hosts.alive").Set(static_cast<double>(alive));
-    obs_.metrics().GetGauge("fleet.hosts.active").Set(static_cast<double>(active_hosts()));
-    obs_.metrics().GetGauge("fleet.zones.alive").Set(static_cast<double>(zones_alive()));
-    obs_.metrics().GetGauge("fleet.queue.depth").Set(static_cast<double>(queued));
-    obs_.metrics().GetGauge("fleet.inflight").Set(static_cast<double>(inflight));
-    obs_.metrics().GetGauge("fleet.warm_hits").Set(static_cast<double>(warm_hits));
+    gauges->hosts_alive.Set(static_cast<double>(alive));
+    gauges->hosts_active.Set(static_cast<double>(active_hosts()));
+    gauges->zones_alive.Set(static_cast<double>(zones_alive()));
+    gauges->queue_depth.Set(static_cast<double>(queued));
+    gauges->inflight.Set(static_cast<double>(inflight));
+    gauges->warm_hits.Set(static_cast<double>(warm_hits));
     slo_.Tick();
   }
 }
@@ -783,8 +820,8 @@ void Cluster::CrashHost(int host) {
   ++hs.epoch;
   // The parked clones lived in the host's memory.
   hs.host->DropWarmPool();
-  hs.arrivals.clear();
-  hs.rate_ewma.clear();
+  std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
+  std::fill(hs.rate_ewma.begin(), hs.rate_ewma.end(), 0.0);
   counters_.host_crashes.Increment();
 }
 
@@ -854,13 +891,16 @@ int Cluster::active_hosts() const {
 }
 
 int Cluster::zones_alive() const {
-  std::map<int, bool> zones;
+  std::vector<bool> seen(static_cast<size_t>(config_.num_zones), false);
+  int n = 0;
   for (const auto& hs : hosts_) {
-    if (hs->lifecycle == HostLifecycle::kActive && hs->alive) {
-      zones.emplace(hs->zone, true);
+    if (hs->lifecycle == HostLifecycle::kActive && hs->alive &&
+        !seen[static_cast<size_t>(hs->zone)]) {
+      seen[static_cast<size_t>(hs->zone)] = true;
+      ++n;
     }
   }
-  return static_cast<int>(zones.size());
+  return n;
 }
 
 double Cluster::HostHours() const { return fleet_ledger_.HostHours(sim_.Now()); }
@@ -916,23 +956,24 @@ fwsim::Co<void> Cluster::JoinWarmup(int host_index, uint64_t epoch) {
   // guest reseed/clock rebase on restore) and park clones, so the host's
   // first dispatched request is a warm hit, not a cold boot.
   for (size_t i = 0; i < installed_.size(); ++i) {
-    const std::string app = installed_[i];
+    const AppId app = installed_[i];
+    const std::string& name = apps_.Name(app);
     if (distribution_ != nullptr) {
       const Status pulled = co_await distribution_->EnsureSnapshot(host_index, app);
       FW_CHECK_MSG(pulled.ok(), "EnsureSnapshot degrades to cold boot, never fails");
       co_await distribution_->WarmRestore(host_index, app);
     }
     for (int k = 0; k < kJoinWarmClones; ++k) {
-      if (static_cast<int>(hs.host->PooledClones(app)) >= kMaxPoolPerApp) {
+      if (static_cast<int>(hs.host->PooledClones(name)) >= kMaxPoolPerApp) {
         break;
       }
-      Status s = co_await hs.host->PrepareClone(app);
+      Status s = co_await hs.host->PrepareClone(name);
       if (!s.ok()) {
         break;
       }
       if (hs.epoch != epoch) {
         // Crashed mid-warm-up: the clone did not survive the host's memory.
-        (void)hs.host->DiscardClone(app);
+        (void)hs.host->DiscardClone(name);
       }
     }
   }
@@ -977,12 +1018,13 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   // before the pool disappears, so its apps stay warm somewhere else.
   if (config_.autoscale) {
     EvaluateDueHosts();
-    for (const std::string& app : installed_) {
-      if (hs.host->PooledClones(app) == 0) {
+    for (AppId app : installed_) {
+      const std::string& name = apps_.Name(app);
+      if (hs.host->PooledClones(name) == 0) {
         continue;
       }
       int target = -1;
-      for (int t : scheduler_->WarmTargets(app, views_, 1)) {
+      for (int t : scheduler_->WarmTargets(name, views_, 1)) {
         if (t != host_index && Schedulable(t)) {
           target = t;
           break;
@@ -1004,7 +1046,7 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
       }
       HostState& ts = *hosts_[target];
       const int pending =
-          static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
+          static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
       if (pending < kMaxPoolPerApp) {
         ++ts.preparing[app];
         sim_.Spawn(PrepareOne(target, app, ts.epoch));
@@ -1024,8 +1066,8 @@ fwsim::Co<void> Cluster::DrainAndRemove(int host_index) {
   hs.alive = false;
   hs.lifecycle = HostLifecycle::kRemoved;
   SyncHost(host_index);
-  hs.arrivals.clear();
-  hs.rate_ewma.clear();
+  std::fill(hs.arrivals.begin(), hs.arrivals.end(), 0);
+  std::fill(hs.rate_ewma.begin(), hs.rate_ewma.end(), 0.0);
   fleet_ledger_.OnRemove(host_index, sim_.Now());
   counters_.hosts_decommissioned.Increment();
   {
@@ -1048,7 +1090,8 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
         alive_zones.emplace(v.zone, true);
       }
     }
-    for (const std::string& app : installed_) {
+    for (AppId app : installed_) {
+      const std::string& name = apps_.Name(app);
       const double ewma = TickRateEwma(spread_arrivals_, spread_rate_ewma_, app);
       if (alive_zones.size() < 2 || ewma <= 1e-6) {
         // One zone left (nothing to spread to) or the app carries no
@@ -1059,20 +1102,20 @@ fwsim::Co<void> Cluster::ZoneSpreader() {
       // plus the next clockwise host in an uncovered zone. The per-host
       // autoscaler sizes the primary's pool; this loop only guarantees the
       // cross-zone replica exists.
-      for (int t : scheduler_->WarmTargets(app, views_, 2)) {
+      for (int t : scheduler_->WarmTargets(name, views_, 2)) {
         if (!Schedulable(t)) {
           continue;
         }
         HostState& ts = *hosts_[t];
         const int pending =
-            static_cast<int>(ts.host->PooledClones(app)) + ts.preparing[app];
+            static_cast<int>(ts.host->PooledClones(name)) + ts.preparing[app];
         if (pending < 1) {
           ++ts.preparing[app];
           sim_.Spawn(PrepareOne(t, app, ts.epoch));
         }
       }
     }
-    spread_arrivals_.clear();
+    std::fill(spread_arrivals_.begin(), spread_arrivals_.end(), 0);
   }
 }
 

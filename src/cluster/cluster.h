@@ -60,8 +60,8 @@
 #define FIREWORKS_SRC_CLUSTER_CLUSTER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -72,6 +72,7 @@
 #include "src/base/status.h"
 #include "src/base/units.h"
 #include "src/cluster/admission.h"
+#include "src/cluster/app_id.h"
 #include "src/cluster/fleet_manager.h"
 #include "src/cluster/health.h"
 #include "src/cluster/host.h"
@@ -171,6 +172,8 @@ class Cluster {
   // its request id (1-based, dense). `deadline` is the request's end-to-end
   // latency budget; zero falls back to admission.default_deadline, and zero
   // again means no deadline (shedding then only happens on the queue cap).
+  // A name never installed still gets an AppId and is dispatched; its
+  // invocation then fails kNotFound on the host.
   uint64_t Submit(const std::string& fn_name, const std::string& args,
                   Duration deadline = Duration::Zero());
 
@@ -320,7 +323,7 @@ class Cluster {
  private:
   struct Request {
     uint64_t id = 0;
-    std::string fn;
+    AppId app = 0;  // The function; its name is apps_.Name(app).
     std::string args;
     int attempts = 1;
     fwbase::SimTime submitted;
@@ -345,17 +348,20 @@ class Cluster {
     fwbase::SimTime partitioned_until;
     // When this host's entry in health_due_ falls due; Max when it has none.
     fwbase::SimTime health_due = fwbase::SimTime::Max();
-    // Autoscaler state: arrivals since the last tick and the rate EWMA,
-    // per app (ordered maps: tick iteration order is part of determinism).
-    std::map<std::string, uint64_t> arrivals;
-    std::map<std::string, double> rate_ewma;
-    // Clone preparations currently in flight (so a slow prepare is not
-    // double-counted into the next tick's deficit).
-    std::map<std::string, int> preparing;
+    // Autoscaler state, indexed by AppId (sized to every interned app):
+    // arrivals since the last tick and the rate EWMA.
+    std::vector<uint64_t> arrivals;
+    std::vector<double> rate_ewma;
+    // Clone preparations currently in flight, by AppId (so a slow prepare
+    // is not double-counted into the next tick's deficit).
+    std::vector<int> preparing;
     // EWMA of observed PrepareClone wall time, for the Little's-law target.
     double prepare_seconds_ewma = 0.05;
   };
 
+  // The AppId of `name`, assigning the next one (and growing every per-app
+  // table) on first sight. One hash lookup.
+  AppId Intern(const std::string& name);
   // Appends a host's front-end state and opens its ledger interval; returns
   // its index.
   int NewHostState(std::unique_ptr<ClusterHost> host, int zone, HostLifecycle lifecycle);
@@ -398,12 +404,12 @@ class Cluster {
   fwsim::Co<void> Worker(int host_index);
   fwsim::Co<void> Heartbeater(int host_index);
   // Spawned once per request by Submit(), so a request is hedged at most once.
-  fwsim::Co<void> Hedger(uint64_t id, std::string fn, std::string args,
+  fwsim::Co<void> Hedger(uint64_t id, AppId app, std::string args,
                          fwbase::SimTime submitted, fwbase::SimTime deadline);
   fwsim::Co<void> Autoscaler(int host_index);
   // One concurrent clone preparation; discards the clone if the host crashed
   // while it was being prepared (its memory is gone).
-  fwsim::Co<void> PrepareOne(int host_index, std::string app, uint64_t epoch);
+  fwsim::Co<void> PrepareOne(int host_index, AppId app, uint64_t epoch);
   fwsim::Co<void> Sampler();
   // Whether host i may take new dispatch (lifecycle kActive; liveness is the
   // detector's call, not this one's).
@@ -440,6 +446,15 @@ class Cluster {
     fwobs::Counter &hosts_added, &hosts_admitted, &hosts_removed, &hosts_decommissioned;
   };
 
+  // The gauges Sampler() sets every tick, resolved at its first tick.
+  struct SampledGauges {
+    explicit SampledGauges(fwobs::MetricsRegistry& metrics);
+
+    fwobs::Gauge &pss_bytes, &live_vms;
+    fwobs::Gauge &hosts_alive, &hosts_active, &zones_alive;
+    fwobs::Gauge &queue_depth, &inflight, &warm_hits;
+  };
+
   fwsim::Simulation& sim_;
   Config config_;
   fwobs::Observability obs_;
@@ -471,7 +486,9 @@ class Cluster {
   using HealthCheck = std::pair<fwbase::SimTime, int>;
   std::priority_queue<HealthCheck, std::vector<HealthCheck>, std::greater<HealthCheck>>
       health_due_;
-  std::vector<std::string> installed_;  // Install order (autoscaler iteration).
+  // Interned function names; the distribution tier reads the same table.
+  AppTable apps_;
+  std::vector<AppId> installed_;  // Install order (autoscaler iteration).
   // Copies of every installed function, so a host provisioned after
   // InstallAll can run the same install sequence during its join warm-up.
   std::vector<fwlang::FunctionSource> installed_sources_;
@@ -485,10 +502,13 @@ class Cluster {
   uint64_t fleet_tick_arrivals_ = 0;
   double service_seconds_ewma_ = 0.05;
   // Per-app arrivals since the last ZoneSpreader tick, and the rate EWMAs it
-  // maintains (ordered: iteration order is part of determinism).
-  std::map<std::string, uint64_t> spread_arrivals_;
-  std::map<std::string, double> spread_rate_ewma_;
-  std::vector<Outcome> outcomes_;  // Indexed by request id - 1.
+  // maintains, indexed by AppId.
+  std::vector<uint64_t> spread_arrivals_;
+  std::vector<double> spread_rate_ewma_;
+  // Indexed by request id - 1. A deque, so Submit never relocates earlier
+  // outcomes; one entry per submitted request, the run's result table rather
+  // than a dispatch queue (admission bounds what is in flight).
+  std::deque<Outcome> outcomes_;  // fwlint:allow(unbounded-queue)
   std::vector<int> primary_host_;  // Last host the primary copy went to.
   // Ring of the most recent completed latencies, feeding HedgeDelay(). The
   // hedge trigger must track the *current* tail: a cumulative quantile stays

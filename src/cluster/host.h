@@ -21,10 +21,10 @@
 #define FIREWORKS_SRC_CLUSTER_HOST_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/status.h"
@@ -185,14 +185,18 @@ class ModelHost : public ClusterHost {
 
  private:
   Duration Jitter(Duration d);
+  // The slot of installed function `fn_name`, or nullptr.
+  const size_t* FindSlot(const std::string& fn_name) const;
 
   int id_;
   fwsim::Simulation& sim_;
   Config config_;
   fwbase::Rng rng_;
   fwsim::Resource cpu_;
-  std::set<std::string> installed_;
-  std::map<std::string, size_t> pool_;  // Parked-clone counts per function.
+  // Installed functions: name -> slot (one hashed lookup per call; looked
+  // up, never iterated), and each slot's parked-clone count.
+  std::unordered_map<std::string, size_t> fn_slots_;
+  std::vector<size_t> parked_;
   size_t pooled_total_ = 0;
   size_t inflight_vms_ = 0;
   uint64_t warm_hits_ = 0;

@@ -27,42 +27,46 @@ SloMonitor::SloMonitor(const SloConfig& config, Duration tick, fwobs::Observabil
   slow_buckets_ = std::max(slow_buckets_, fast_buckets_);
 }
 
-void SloMonitor::Record(const std::string& app, bool good) {
-  AppState& state = apps_[app];
-  if (state.ring.empty()) {
-    state.ring.resize(slow_buckets_);
+void SloMonitor::Record(AppId app, const std::string& name, bool good) {
+  if (app >= by_id_.size()) {
+    by_id_.resize(static_cast<size_t>(app) + 1, nullptr);
   }
-  state.total += 1;
+  AppState* state = by_id_[app];
+  if (state == nullptr) {
+    state = &apps_[name];
+    if (state->ring.empty()) {
+      state->ring.resize(slow_buckets_);
+    }
+    by_id_[app] = state;
+  }
+  const uint64_t bad = good ? 0 : 1;
+  state->total += 1;
   total_ += 1;
   if (good) {
-    state.good += 1;
+    state->good += 1;
     good_ += 1;
-  } else {
-    state.ring[head_].bad += 1;
   }
-  state.ring[head_].total += 1;
+  state->ring[head_].total += 1;
+  state->ring[head_].bad += bad;
+  state->fast.total += 1;
+  state->fast.bad += bad;
+  state->slow.total += 1;
+  state->slow.bad += bad;
 }
 
-double SloMonitor::BurnOver(const AppState& state, size_t buckets) const {
-  uint64_t total = 0;
-  uint64_t bad = 0;
-  // Sum the `buckets` most recent buckets, open bucket included.
-  for (size_t k = 0; k < buckets; ++k) {
-    const size_t i = (head_ + state.ring.size() - k) % state.ring.size();
-    total += state.ring[i].total;
-    bad += state.ring[i].bad;
-  }
-  if (total == 0) {
+double SloMonitor::BurnRate(const Bucket& window) const {
+  if (window.total == 0) {
     return 0.0;
   }
-  const double error_rate = static_cast<double>(bad) / static_cast<double>(total);
+  const double error_rate =
+      static_cast<double>(window.bad) / static_cast<double>(window.total);
   return error_rate / (1.0 - config_.objective);
 }
 
 void SloMonitor::Tick() {
   for (auto& [app, state] : apps_) {
-    state.burn_fast = BurnOver(state, fast_buckets_);
-    state.burn_slow = BurnOver(state, slow_buckets_);
+    state.burn_fast = BurnRate(state.fast);
+    state.burn_slow = BurnRate(state.slow);
     // Edge-triggered, with hysteresis on the fast window: the alert fires
     // when both windows burn too hot, and clears once the fast window cools
     // (the slow window alone would hold the alert long after recovery).
@@ -89,19 +93,32 @@ void SloMonitor::Tick() {
       }
     }
     if (obs_ != nullptr) {
-      obs_->metrics().GetGauge("slo.burn.fast", app).Set(state.burn_fast);
-      obs_->metrics().GetGauge("slo.burn.slow", app).Set(state.burn_slow);
-      obs_->metrics()
-          .GetGauge("slo.attainment", app)
-          .Set(state.total == 0
-                   ? 1.0
-                   : static_cast<double>(state.good) / static_cast<double>(state.total));
+      if (state.burn_fast_gauge == nullptr) {
+        state.burn_fast_gauge = &obs_->metrics().GetGauge("slo.burn.fast", app);
+        state.burn_slow_gauge = &obs_->metrics().GetGauge("slo.burn.slow", app);
+        state.attainment_gauge = &obs_->metrics().GetGauge("slo.attainment", app);
+      }
+      state.burn_fast_gauge->Set(state.burn_fast);
+      state.burn_slow_gauge->Set(state.burn_slow);
+      state.attainment_gauge->Set(
+          state.total == 0 ? 1.0
+                           : static_cast<double>(state.good) / static_cast<double>(state.total));
     }
   }
-  // Advance the shared ring head and open a fresh bucket in every app.
+  // Advance the shared ring head and open a fresh bucket in every app. The
+  // bucket the head lands on is the oldest of the slow window; the one
+  // fast_buckets_ behind the new head is the oldest of the fast window (the
+  // same bucket when the windows are equal). Both leave their windows now.
   head_ = (head_ + 1) % slow_buckets_;
+  const size_t fast_leaving = (head_ + slow_buckets_ - fast_buckets_) % slow_buckets_;
   for (auto& [app, state] : apps_) {
-    state.ring[head_] = Bucket{};
+    const Bucket& leaving_fast = state.ring[fast_leaving];
+    state.fast.total -= leaving_fast.total;
+    state.fast.bad -= leaving_fast.bad;
+    Bucket& leaving_slow = state.ring[head_];
+    state.slow.total -= leaving_slow.total;
+    state.slow.bad -= leaving_slow.bad;
+    leaving_slow = Bucket{};
   }
 }
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/units.h"
+#include "src/cluster/app_id.h"
 #include "src/obs/observability.h"
 
 namespace fwcluster {
@@ -53,8 +54,11 @@ class SloMonitor {
   // monitor; nullptr disables metric/span emission but keeps the counters.
   SloMonitor(const SloConfig& config, Duration tick, fwobs::Observability* obs);
 
-  // One terminal request outcome. `good` = completed OK within target.
-  void Record(const std::string& app, bool good);
+  // One terminal request outcome of app `app`, named `name`. `good` =
+  // completed OK within target. The name is read only on the app's first
+  // record; ids are the caller's (Cluster's AppIds), and each id must keep
+  // one name.
+  void Record(AppId app, const std::string& name, bool good);
 
   // Advances the bucket ring, refreshes burn-rate gauges, and fires/clears
   // alerts. Call every `tick` of simulated time.
@@ -100,9 +104,20 @@ class SloMonitor {
     double burn_slow = 0.0;
     // Ring of the last slow_buckets_ ticks; head_ indexes the open bucket.
     std::vector<Bucket> ring;
+    // Running sums of the fast_buckets_ / slow_buckets_ most recent ring
+    // buckets, open bucket included: Record adds to both, Tick subtracts the
+    // bucket that leaves each window. Integer sums, so the burn rates equal
+    // a full re-sum of the ring exactly.
+    Bucket fast;
+    Bucket slow;
+    // The app's burn-rate and attainment gauges, resolved at its first
+    // Tick (null until then, and without an Observability).
+    fwobs::Gauge* burn_fast_gauge = nullptr;
+    fwobs::Gauge* burn_slow_gauge = nullptr;
+    fwobs::Gauge* attainment_gauge = nullptr;
   };
 
-  double BurnOver(const AppState& state, size_t buckets) const;
+  double BurnRate(const Bucket& window) const;
 
   SloConfig config_;
   fwobs::Observability* obs_;
@@ -114,6 +129,9 @@ class SloMonitor {
   uint64_t alerts_ = 0;
   // Ordered map: tick iteration order is part of determinism.
   std::map<std::string, AppState> apps_;
+  // apps_ entries by AppId (null until the app's first Record); map nodes
+  // never move, so the pointers stay valid.
+  std::vector<AppState*> by_id_;
 };
 
 }  // namespace fwcluster

@@ -18,12 +18,14 @@ using fwstore::SnapshotManifest;
 SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, int num_hosts,
                                            const DistributionConfig& config,
                                            fwobs::Observability& obs,
-                                           fwfault::FaultInjector* injector)
+                                           fwfault::FaultInjector* injector,
+                                           const AppTable& apps)
     : sim_(sim),
       config_(config),
       obs_(obs),
       injector_(injector),
       fabric_(sim, config.fabric),
+      apps_(apps),
       holds_(static_cast<size_t>(num_hosts)),
       warm_(static_cast<size_t>(num_hosts)),
       generations_(static_cast<size_t>(num_hosts), 0) {
@@ -35,9 +37,10 @@ SnapshotDistribution::SnapshotDistribution(fwsim::Simulation& sim, int num_hosts
   }
 }
 
-void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
+void SnapshotDistribution::Publish(AppId app, int seed_host) {
+  const std::string& name = apps_.Name(app);
   SnapshotManifest m;
-  m.app = app;
+  m.app = name;
   const uint64_t image_bytes = config_.base_layer_bytes + config_.delta_layer_bytes;
   m.image_bytes = image_bytes;
   if (config_.layered) {
@@ -48,14 +51,14 @@ void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
         fwstore::SyntheticChunks(base.key, config_.base_layer_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(base));
     LayerManifest delta;
-    delta.key = "delta/" + app;
+    delta.key = "delta/" + name;
     delta.kind = LayerKind::kDelta;
     delta.chunks =
         fwstore::SyntheticChunks(delta.key, config_.delta_layer_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(delta));
   } else {
     LayerManifest whole;
-    whole.key = "image/" + app;
+    whole.key = "image/" + name;
     whole.kind = LayerKind::kDelta;
     whole.chunks = fwstore::SyntheticChunks(whole.key, image_bytes, config_.chunk_bytes);
     m.layers.push_back(std::move(whole));
@@ -89,19 +92,30 @@ void SnapshotDistribution::Publish(const std::string& app, int seed_host) {
   }
 }
 
-bool SnapshotDistribution::Holds(int host, const std::string& app) const {
-  return holds_[static_cast<size_t>(host)].count(app) > 0;
+bool SnapshotDistribution::Marked(const std::vector<bool>& bits, AppId app) {
+  return app < bits.size() && bits[app];
 }
 
-bool SnapshotDistribution::Warm(int host, const std::string& app) const {
-  return warm_[static_cast<size_t>(host)].count(app) > 0;
+void SnapshotDistribution::Mark(std::vector<bool>& bits, AppId app) {
+  if (app >= bits.size()) {
+    bits.resize(static_cast<size_t>(app) + 1, false);
+  }
+  bits[app] = true;
 }
 
-void SnapshotDistribution::AdoptLocal(int host, const std::string& app) {
-  holds_[static_cast<size_t>(host)].insert(app);
+bool SnapshotDistribution::Holds(int host, AppId app) const {
+  return Marked(holds_[static_cast<size_t>(host)], app);
+}
+
+bool SnapshotDistribution::Warm(int host, AppId app) const {
+  return Marked(warm_[static_cast<size_t>(host)], app);
+}
+
+void SnapshotDistribution::AdoptLocal(int host, AppId app) {
+  Mark(holds_[static_cast<size_t>(host)], app);
   // A locally-produced (or cold-booted) image is page-cache hot: no restore
   // warm-up needed.
-  warm_[static_cast<size_t>(host)].insert(app);
+  Mark(warm_[static_cast<size_t>(host)], app);
 }
 
 void SnapshotDistribution::OnHostRestart(int host) {
@@ -209,11 +223,11 @@ fwsim::Co<fwbase::Result<std::string>> SnapshotDistribution::FetchChunk(
   co_return Status::Unavailable("chunk fetch exhausted retries");
 }
 
-fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::string& app) {
-  if (!config_.enabled) {
+fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, AppId app) {
+  if (!config_.enabled || Holds(host, app)) {
     co_return Status::Ok();
   }
-  const std::pair<int, std::string> key{host, app};
+  const std::pair<int, AppId> key{host, app};
   // Coalesce concurrent pulls of the same app on the same host: latecomers
   // wait for the in-flight pull instead of double-fetching.
   while (true) {
@@ -233,7 +247,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
 
   ++stats_.cold_fetches;
   fwobs::ScopedSpan cold(&obs_.tracer(), "registry.cold_fetch", "registry");
-  cold.SetAttribute("app", app);
+  cold.SetAttribute("app", apps_.Name(app));
   cold.SetAttribute("host", static_cast<uint64_t>(host));
 
   // --- Manifest ----------------------------------------------------------
@@ -252,7 +266,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
         ++stats_.registry_unreachable;
         continue;
       }
-      auto fetched = registry_.FetchManifest(app);
+      auto fetched = registry_.FetchManifest(apps_.Name(app));
       if (fetched.ok()) {
         ++stats_.manifest_fetches;
         manifest = std::move(*fetched);
@@ -303,7 +317,7 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
     co_await fwsim::Delay(
         sim_, Duration::SecondsF(static_cast<double>(fetched_bytes) /
                                  config_.install_bandwidth_bytes_per_sec));
-    holds_[static_cast<size_t>(host)].insert(app);
+    Mark(holds_[static_cast<size_t>(host)], app);
   }
 
   inflight_.erase(key);
@@ -311,12 +325,12 @@ fwsim::Co<Status> SnapshotDistribution::EnsureSnapshot(int host, const std::stri
   co_return Status::Ok();
 }
 
-fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, const std::string& app) {
+fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, AppId app) {
   if (!config_.enabled) {
     co_return;
   }
   if (!Warm(host, app)) {
-    const SnapshotManifest* m = registry_.Peek(app);
+    const SnapshotManifest* m = registry_.Peek(apps_.Name(app));
     const uint64_t ws_bytes = m != nullptr ? m->working_set_bytes : 0;
     const uint64_t ws_pages = m != nullptr ? m->working_set_pages() : 0;
     if (config_.working_set_restore && ws_bytes > 0) {
@@ -353,7 +367,7 @@ fwsim::Co<void> SnapshotDistribution::WarmRestore(int host, const std::string& a
       }
       ++stats_.guest_reseeds;
     }
-    warm_[static_cast<size_t>(host)].insert(app);
+    Mark(warm_[static_cast<size_t>(host)], app);
   }
 }
 

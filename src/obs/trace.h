@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,10 +133,14 @@ class Tracer {
 //   span.End();  // Optional; the destructor ends it otherwise.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* tracer, std::string name, std::string category = std::string())
+  // Names, categories and attributes are views: strings are built only when
+  // the tracer is enabled, so an untraced instrumentation point allocates
+  // nothing.
+  ScopedSpan(Tracer* tracer, std::string_view name, std::string_view category = {})
       : tracer_(tracer),
-        span_(tracer == nullptr ? nullptr
-                                : tracer->StartSpan(std::move(name), std::move(category))) {}
+        span_(tracer == nullptr || !tracer->enabled()
+                  ? nullptr
+                  : tracer->StartSpan(std::string(name), std::string(category))) {}
   ~ScopedSpan() { End(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -152,14 +157,19 @@ class ScopedSpan {
   // nullptr when tracing is disabled.
   Span* get() const { return span_; }
 
-  void SetAttribute(std::string key, std::string value) {
+  void SetAttribute(std::string_view key, std::string_view value) {
     if (span_ != nullptr) {
-      span_->SetAttribute(std::move(key), std::move(value));
+      span_->SetAttribute(std::string(key), std::string(value));
     }
   }
-  void SetAttribute(std::string key, uint64_t value) {
+  void SetAttribute(std::string_view key, uint64_t value) {
     if (span_ != nullptr) {
-      span_->SetAttribute(std::move(key), value);
+      span_->SetAttribute(std::string(key), value);
+    }
+  }
+  void SetAttribute(std::string_view key, double value) {
+    if (span_ != nullptr) {
+      span_->SetAttribute(std::string(key), value);
     }
   }
 

@@ -64,7 +64,20 @@ void Simulation::Schedule(Duration delay, std::function<void()> fn) {
 
 void Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
   FW_CHECK_MSG(when >= now_, "cannot schedule in the past");
-  queue_.push_back(Event{when, next_seq_++, std::move(fn)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  Push(when, (static_cast<uintptr_t>(slot) << 1) | 1);
+}
+
+void Simulation::Push(SimTime when, uintptr_t payload) {
+  queue_.push_back(Event{when, next_seq_++, payload});
   std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
@@ -77,10 +90,10 @@ void Simulation::set_profiler(fwobs::Profiler* profiler) {
 }
 
 void Simulation::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
-  Schedule(delay, [this, h] {
-    FW_PROFILE_SCOPE_ID(profiler_, resume_scope_);
-    h.resume();
-  });
+  FW_CHECK_MSG(!delay.is_negative(), "cannot schedule in the past");
+  const auto address = reinterpret_cast<uintptr_t>(h.address());
+  FW_CHECK((address & 1) == 0);
+  Push(now_ + delay, address);
 }
 
 uint64_t Simulation::Spawn(Co<void> co) {
@@ -112,14 +125,28 @@ bool Simulation::StepOne() {
     return false;
   }
   std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-  Event ev = std::move(queue_.back());
+  const Event ev = queue_.back();
   queue_.pop_back();
   FW_CHECK(ev.when >= now_);
   now_ = ev.when;
   ++events_processed_;
+  // A callback's captures are destroyed when StepOne returns, after dead
+  // roots are reclaimed.
+  std::function<void()> fn;
   {
     FW_PROFILE_SCOPE_ID(profiler_, dispatch_scope_);
-    ev.fn();
+    if ((ev.payload & 1) == 0) {
+      FW_PROFILE_SCOPE_ID(profiler_, resume_scope_);
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.payload)).resume();
+    } else {
+      // Move the callback out first: it may schedule more callbacks, which
+      // can reuse its slot or grow the table.
+      const auto slot = static_cast<uint32_t>(ev.payload >> 1);
+      fn = std::move(callbacks_[slot]);
+      callbacks_[slot] = nullptr;
+      free_slots_.push_back(slot);
+      fn();
+    }
   }
   ReclaimDeadRoots();
   return true;

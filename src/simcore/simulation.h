@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -78,11 +79,17 @@ class Simulation {
   fwobs::Profiler* profiler() const { return profiler_; }
 
  private:
+  // One queued event, plain data so the heap moves 24 bytes instead of a
+  // std::function. `payload` is either the address of a suspended coroutine
+  // frame (low bit clear: frames come from operator new, which aligns them
+  // to at least 2) or `slot << 1 | 1`, an index into callbacks_ holding a
+  // Schedule/ScheduleAt callback.
   struct Event {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
+    uintptr_t payload;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) {
@@ -96,6 +103,7 @@ class Simulation {
   struct Root;
   friend struct Root;
 
+  void Push(SimTime when, uintptr_t payload);
   void ReclaimDeadRoots();
   void OnRootDone(uint64_t id);
   void InstallLogTimeSource();
@@ -105,12 +113,15 @@ class Simulation {
   uint64_t next_root_id_ = 1;
   uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
-  // A binary heap under EventLater (std::push_heap/std::pop_heap), so
-  // StepOne can move the earliest event out instead of copying it. Bounded
+  // A binary heap under EventLater (std::push_heap/std::pop_heap). Bounded
   // by what the model has scheduled: one pending event per live timer or
   // suspended coroutine, whose request-driven share admission control caps
   // (src/cluster/admission.h).
   std::vector<Event> queue_;  // fwlint:allow(unbounded-queue)
+  // Side table of pending Schedule/ScheduleAt callbacks, indexed by slot;
+  // free_slots_ recycles slots whose callback has run.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint32_t> free_slots_;
   // Ordered by root id so teardown destroys frames in spawn order; with an
   // unordered map the destructor's iteration (and any destructor side
   // effects, e.g. logging) would follow hash order. Flagged by

@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/cluster/app_id.h"
 #include "src/cluster/snapshot_distribution.h"
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
@@ -325,26 +327,30 @@ class DistributionGenerationTest : public fwtest::SimTest {
     return config;
   }
 
+  // The tier names apps by id; tests intern names on first use.
+  fwcluster::AppId App(const std::string& name) { return apps_.Intern(name); }
+
   fwobs::Observability obs_;
+  fwcluster::AppTable apps_;
 };
 
 TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) {
-  fwcluster::SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
+  fwcluster::SnapshotDistribution dist(sim_, 2, SmallConfig(), obs_, nullptr, apps_);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
   EXPECT_EQ(dist.Generation(1), 0u);
 
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(dist.Generation(1), 1u);
   EXPECT_EQ(dist.stats().guest_reseeds, 1u);
 
   // Already warm: no second restore, no second reseed.
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(dist.Generation(1), 1u);
 
   // A restart forces a re-restore; the counter continues, never resets.
   dist.OnHostRestart(1);
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(dist.Generation(1), 2u);
   EXPECT_EQ(dist.stats().guest_reseeds, 2u);
   // The untouched host never restored anything.
@@ -354,10 +360,10 @@ TEST_F(DistributionGenerationTest, GenerationBumpsPerRestoreAndSurvivesRestart) 
 TEST_F(DistributionGenerationTest, UniquenessOffChargesNoReseed) {
   fwcluster::DistributionConfig config = SmallConfig();
   config.restore_uniqueness = false;
-  fwcluster::SnapshotDistribution dist(sim_, 2, config, obs_, nullptr);
-  dist.Publish("app-0", 0);
-  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, "app-0")).ok());
-  RunSyncVoid(sim_, dist.WarmRestore(1, "app-0"));
+  fwcluster::SnapshotDistribution dist(sim_, 2, config, obs_, nullptr, apps_);
+  dist.Publish(App("app-0"), 0);
+  ASSERT_TRUE(RunSync(sim_, dist.EnsureSnapshot(1, App("app-0"))).ok());
+  RunSyncVoid(sim_, dist.WarmRestore(1, App("app-0")));
   EXPECT_EQ(dist.Generation(1), 0u);
   EXPECT_EQ(dist.stats().guest_reseeds, 0u);
 }

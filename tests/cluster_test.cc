@@ -677,24 +677,27 @@ TEST(AdmissionControllerTest, DisabledAdmitsEverything) {
 TEST(RetryBudgetTest, ClampsRetriesAndRefillsOnAcceptedWork) {
   // 0.25 is exact in binary, so four deposits make exactly one token.
   RetryBudget budget(true, /*deposit_ratio=*/0.25, /*burst=*/2.0);
+  // Ids out of order: app-b's table slot is created (full) by app-a's.
+  const AppId kAppA = 3;
+  const AppId kAppB = 1;
   // Buckets start at burst: two retries fit, the third is denied.
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_FALSE(budget.TrySpend("app-a"));
+  EXPECT_TRUE(budget.TrySpend(kAppA));
+  EXPECT_TRUE(budget.TrySpend(kAppA));
+  EXPECT_FALSE(budget.TrySpend(kAppA));
   // Budgets are per app.
-  EXPECT_TRUE(budget.TrySpend("app-b"));
+  EXPECT_TRUE(budget.TrySpend(kAppB));
   // Four accepted first attempts deposit one token.
   for (int i = 0; i < 4; ++i) {
-    budget.OnAccepted("app-a");
+    budget.OnAccepted(kAppA);
   }
-  EXPECT_TRUE(budget.TrySpend("app-a"));
-  EXPECT_FALSE(budget.TrySpend("app-a"));
+  EXPECT_TRUE(budget.TrySpend(kAppA));
+  EXPECT_FALSE(budget.TrySpend(kAppA));
 }
 
 TEST(RetryBudgetTest, DisabledBudgetAdmitsEveryRetry) {
   RetryBudget budget(false, 0.1, 1.0);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(budget.TrySpend("app-a"));
+    EXPECT_TRUE(budget.TrySpend(0));
   }
 }
 
@@ -775,6 +778,81 @@ TEST(ClusterHedgingTest, HedgingShavesTheSlowHostTail) {
   const RunResult on = RunHedgedCluster(31, /*hedging=*/true);
   EXPECT_EQ(on.rollup.completed, off.rollup.completed);
   EXPECT_LT(on.rollup.latency_ms.Percentile(99.9), off.rollup.latency_ms.Percentile(99.9));
+}
+
+// ---------------------------------------------------------------------------
+// App ids: every copy of a request keeps its app's per-app state.
+// ---------------------------------------------------------------------------
+
+// Submits `count` requests at a fixed pace, cycling through `names`.
+fwsim::Co<void> SubmitCycling(fwsim::Simulation& sim, Cluster& cluster,
+                              const std::vector<std::string>& names, int count) {
+  for (int i = 0; i < count; ++i) {
+    co_await fwsim::Delay(sim, Duration::Micros(2500));
+    (void)cluster.Submit(names[static_cast<size_t>(i) % names.size()], "{}");
+  }
+}
+
+TEST(ClusterAppIdTest, UninstalledAppFailsNotFoundAndCopiesKeepTheirApp) {
+  fwsim::Simulation sim(5);
+  std::vector<std::unique_ptr<ClusterHost>> hosts;
+  for (int i = 0; i < 4; ++i) {
+    ModelHost::Config mc;
+    mc.calibration = TestCalibration();
+    hosts.push_back(std::make_unique<ModelHost>(sim, i, mc));
+  }
+  Cluster::Config cc;
+  cc.policy = SchedulerPolicy::kLeastLoaded;
+  // Hedge copies (stalls past the hedge delay) and retried copies (a crash
+  // bounces queued work and strands inflight work as zombies).
+  cc.hedging = true;
+  cc.hedge_min_delay = Duration::Millis(15);
+  cc.fault_plan.Set(fwfault::FaultKind::kHostSlowdown, 0.05);
+  cc.fault_seed = 5;
+  cc.slow_host_mean_delay = Duration::Millis(200);
+  Cluster cluster(sim, std::move(hosts), cc);
+  // Installed out of name order, so AppIds and name order differ.
+  for (const char* name : {"app-2", "app-0", "app-1"}) {
+    fwlang::FunctionSource fn = fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency,
+                                                    fwlang::Language::kNodeJs);
+    fn.name = name;
+    FW_CHECK(RunSync(sim, cluster.InstallAll(fn)).ok());
+  }
+  const std::vector<std::string> names = {"app-0", "app-1", "ghost", "app-2"};
+  constexpr int kInvocations = 1200;
+  sim.Schedule(Duration::Millis(900), [&cluster] { cluster.CrashHost(1); });
+  sim.Schedule(Duration::Millis(1600), [&cluster] { cluster.RestartHost(1); });
+  sim.Spawn(SubmitCycling(sim, cluster, names, kInvocations));
+  cluster.Drain(kInvocations);
+
+  const Cluster::Rollup r = cluster.ComputeRollup();
+  EXPECT_GT(r.hedges, 0u);
+  EXPECT_GT(r.hedge_wins, 0u);
+  EXPECT_GT(r.retries, 0u);
+  // Per app: submissions, and completions good against the SLO target.
+  std::map<std::string, uint64_t> submitted;
+  std::map<std::string, uint64_t> good;
+  for (uint64_t id = 1; id <= cluster.submitted(); ++id) {
+    const Cluster::Outcome& out = cluster.outcome(id);
+    EXPECT_EQ(out.completions, 1u);
+    ++submitted[out.fn];
+    if (out.fn == "ghost") {
+      EXPECT_EQ(out.status.code(), fwbase::StatusCode::kNotFound) << out.status.ToString();
+    }
+    if (out.status.ok() && out.latency <= cc.slo.target) {
+      ++good[out.fn];
+    }
+  }
+  EXPECT_EQ(good["ghost"], 0u);
+  // The SLO monitor is keyed by AppId: a hedged or retried copy recorded
+  // under another app's id would move counts between these rows.
+  const auto reports = cluster.slo().Reports();
+  ASSERT_EQ(reports.size(), 4u);
+  for (const auto& report : reports) {
+    SCOPED_TRACE(report.app);
+    EXPECT_EQ(report.total, submitted[report.app]);
+    EXPECT_EQ(report.good, good[report.app]);
+  }
 }
 
 // ---------------------------------------------------------------------------

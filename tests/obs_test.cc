@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/fireworks.h"
@@ -104,6 +106,31 @@ TEST(TracerTest, ScopedSpanEndIsIdempotentAndGetSurvivesEnd) {
   span.End();  // Second End must not move the recorded end time.
   EXPECT_EQ(span.get()->end(), first_end);
   EXPECT_TRUE(span.get()->finished());
+}
+
+TEST(TracerTest, ScopedSpanKeepsAttributeTypes) {
+  Simulation sim;
+  Tracer tracer = MakeTracer(sim);
+  tracer.Enable();
+  {
+    ScopedSpan span(&tracer, std::string_view("typed"), "test");
+    span.SetAttribute("burn", 4.75);  // A double, not truncated to 4.
+    span.SetAttribute("attainment", 0.97);
+    span.SetAttribute("count", static_cast<uint64_t>(3));
+    span.SetAttribute("fn", std::string("app"));
+    span.SetAttribute(std::string_view("view"), std::string_view("value"));
+  }
+  ASSERT_EQ(tracer.span_count(), 1u);
+  const Span& span = tracer.spans().front();
+  EXPECT_EQ(span.name(), "typed");
+  EXPECT_EQ(span.category(), "test");
+  using Attr = std::pair<std::string, std::string>;
+  EXPECT_EQ(span.attributes(),
+            (std::vector<Attr>{{"burn", "4.75"},
+                               {"attainment", "0.97"},
+                               {"count", "3"},
+                               {"fn", "app"},
+                               {"view", "value"}}));
 }
 
 TEST(TracerTest, OutOfOrderEndKeepsParentLinks) {

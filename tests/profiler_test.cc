@@ -5,10 +5,14 @@
 // cluster run must produce the exact outcome digest of an uninstrumented one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/units.h"
 #include "src/cluster/cluster.h"
@@ -282,10 +286,10 @@ TEST(SloMonitorTest, AttainmentTracksGoodFraction) {
   fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
   EXPECT_EQ(slo.Attainment(), 1.0);  // Nothing recorded yet.
   for (int i = 0; i < 9; ++i) {
-    slo.Record("app-a", true);
+    slo.Record(0, "app-a", true);
   }
-  slo.Record("app-a", false);
-  slo.Record("app-b", true);
+  slo.Record(0, "app-a", false);
+  slo.Record(1, "app-b", true);
   EXPECT_DOUBLE_EQ(slo.Attainment(), 10.0 / 11.0);
   EXPECT_DOUBLE_EQ(slo.WorstAttainment(), 0.9);  // app-a, not the fleet mean.
   EXPECT_EQ(slo.total(), 11u);
@@ -297,8 +301,8 @@ TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
   // 50% errors, well above the 40% alerting line, sustained long enough to
   // light up the slow window too (16 buckets of 250 ms = 4 s).
   for (int tick = 0; tick < 20; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", false);
+    slo.Record(0, "app-a", true);
+    slo.Record(0, "app-a", false);
     slo.Tick();
   }
   ASSERT_EQ(slo.Reports().size(), 1u);
@@ -310,8 +314,8 @@ TEST(SloMonitorTest, SustainedBurnFiresOneEdgeTriggeredAlert) {
   // Recovery: once the fast window cools below the threshold the alert
   // clears, even while the slow window still remembers the incident.
   for (int tick = 0; tick < 5; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(0, "app-a", true);
+    slo.Record(0, "app-a", true);
     slo.Tick();
   }
   EXPECT_FALSE(slo.Reports()[0].alerting);
@@ -326,19 +330,19 @@ TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
   // exactly what the second window buys: a blip with no surrounding traffic
   // (a cold ramp) WOULD page, because then the blip is the whole window.
   for (int tick = 0; tick < 16; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(0, "app-a", true);
+    slo.Record(0, "app-a", true);
     slo.Tick();
   }
   for (int i = 0; i < 8; ++i) {
-    slo.Record("app-a", false);
+    slo.Record(0, "app-a", false);
   }
   slo.Tick();
   EXPECT_GE(slo.Reports()[0].burn_fast, 4.0);
   EXPECT_LT(slo.Reports()[0].burn_slow, 4.0);
   for (int tick = 0; tick < 5; ++tick) {
-    slo.Record("app-a", true);
-    slo.Record("app-a", true);
+    slo.Record(0, "app-a", true);
+    slo.Record(0, "app-a", true);
     slo.Tick();
   }
   EXPECT_EQ(slo.alerts(), 0u);
@@ -348,8 +352,8 @@ TEST(SloMonitorTest, BriefBlipAmidSteadyTrafficDoesNotPage) {
 TEST(SloMonitorTest, PerAppIsolation) {
   fwcluster::SloMonitor slo(TestSloConfig(), Duration::Millis(250), nullptr);
   for (int tick = 0; tick < 20; ++tick) {
-    slo.Record("victim", false);
-    slo.Record("healthy", true);
+    slo.Record(0, "victim", false);
+    slo.Record(1, "healthy", true);
     slo.Tick();
   }
   const auto reports = slo.Reports();
@@ -358,6 +362,149 @@ TEST(SloMonitorTest, PerAppIsolation) {
   EXPECT_FALSE(reports[0].alerting);
   EXPECT_TRUE(reports[1].alerting);
   EXPECT_EQ(slo.alerts(), 1u);
+}
+
+// Reference for the monitor's windows: every app keeps its full bucket ring
+// and each Tick re-sums the fast and slow windows from scratch, so the
+// monitor's running sums have something independent to match.
+class SloReference {
+ public:
+  SloReference(const fwcluster::SloConfig& config, Duration tick)
+      : config_(config),
+        fast_(Buckets(config.fast_window, tick)),
+        slow_(std::max(Buckets(config.slow_window, tick), fast_)) {}
+
+  void Record(const std::string& app, bool good) {
+    App& a = apps_[app];
+    if (a.total_ring.empty()) {
+      a.total_ring.assign(slow_, 0);
+      a.bad_ring.assign(slow_, 0);
+    }
+    a.total += 1;
+    a.good += good ? 1 : 0;
+    a.total_ring[head_] += 1;
+    a.bad_ring[head_] += good ? 0 : 1;
+  }
+
+  void Tick() {
+    for (auto& [name, a] : apps_) {
+      a.burn_fast = Burn(a, fast_);
+      a.burn_slow = Burn(a, slow_);
+      if (!a.alerting && a.burn_fast >= config_.burn_threshold &&
+          a.burn_slow >= config_.burn_threshold) {
+        a.alerting = true;
+        a.alerts += 1;
+      } else if (a.alerting && a.burn_fast < config_.burn_threshold) {
+        a.alerting = false;
+      }
+    }
+    head_ = (head_ + 1) % slow_;
+    for (auto& [name, a] : apps_) {
+      a.total_ring[head_] = 0;
+      a.bad_ring[head_] = 0;
+    }
+  }
+
+  struct App {
+    uint64_t total = 0;
+    uint64_t good = 0;
+    uint64_t alerts = 0;
+    bool alerting = false;
+    double burn_fast = 0.0;
+    double burn_slow = 0.0;
+    std::vector<uint64_t> total_ring;
+    std::vector<uint64_t> bad_ring;
+  };
+  const std::map<std::string, App>& apps() const { return apps_; }
+
+ private:
+  static size_t Buckets(Duration window, Duration tick) {
+    return static_cast<size_t>(
+        std::max<int64_t>((window.nanos() + tick.nanos() - 1) / tick.nanos(), 1));
+  }
+
+  double Burn(const App& a, size_t buckets) const {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+    for (size_t k = 0; k < buckets; ++k) {
+      const size_t i = (head_ + slow_ - k) % slow_;
+      total += a.total_ring[i];
+      bad += a.bad_ring[i];
+    }
+    if (total == 0) {
+      return 0.0;
+    }
+    return static_cast<double>(bad) / static_cast<double>(total) / (1.0 - config_.objective);
+  }
+
+  fwcluster::SloConfig config_;
+  size_t fast_;
+  size_t slow_;
+  size_t head_ = 0;
+  std::map<std::string, App> apps_;
+};
+
+TEST(SloMonitorTest, RunningSumsMatchFullRingRecomputation) {
+  const Duration tick = Duration::Millis(250);
+  // (fast, slow) windows: the usual shape, equal windows, windows that are
+  // not whole ticks, and a fast window wider than the slow one.
+  const std::vector<std::pair<Duration, Duration>> windows = {
+      {Duration::Seconds(1), Duration::Seconds(4)},
+      {Duration::Seconds(1), Duration::Seconds(1)},
+      {Duration::Millis(600), Duration::Millis(1900)},
+      {Duration::Millis(250), Duration::Millis(250)},
+      {Duration::Seconds(2), Duration::Seconds(1)},
+  };
+  // Apps registered under ids out of name order, first recorded at
+  // different ticks.
+  const std::vector<std::string> names = {"delta", "alpha", "charlie", "bravo"};
+  for (const auto& [fast, slow] : windows) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(fwbase::StrFormat("fast=%lldms slow=%lldms seed=%llu",
+                                     static_cast<long long>(fast.nanos() / 1000000),
+                                     static_cast<long long>(slow.nanos() / 1000000),
+                                     static_cast<unsigned long long>(seed)));
+      fwcluster::SloConfig config = TestSloConfig();
+      config.fast_window = fast;
+      config.slow_window = slow;
+      Observability obs([] { return SimTime::Zero(); });
+      fwcluster::SloMonitor slo(config, tick, &obs);
+      SloReference ref(config, tick);
+      fwbase::Rng rng(seed);
+      for (int t = 0; t < 120; ++t) {
+        // Phases of healthy and failing traffic, so alerts fire and clear.
+        const double bad_share = (t / 20) % 2 == 0 ? 0.05 : 0.7;
+        const int64_t records = rng.UniformInt(0, 6);
+        for (int64_t r = 0; r < records; ++r) {
+          const auto app = static_cast<fwcluster::AppId>(
+              rng.UniformInt(0, std::min<int64_t>(t / 10, 3)));
+          const bool good = !rng.Chance(bad_share);
+          slo.Record(app, names[app], good);
+          ref.Record(names[app], good);
+        }
+        slo.Tick();
+        ref.Tick();
+        const auto reports = slo.Reports();
+        ASSERT_EQ(reports.size(), ref.apps().size());
+        size_t i = 0;
+        for (const auto& [name, a] : ref.apps()) {
+          const auto& r = reports[i++];
+          ASSERT_EQ(r.app, name);
+          EXPECT_EQ(r.total, a.total);
+          EXPECT_EQ(r.good, a.good);
+          EXPECT_EQ(r.alerts, a.alerts);
+          EXPECT_EQ(r.alerting, a.alerting);
+          EXPECT_EQ(r.burn_fast, a.burn_fast) << "tick " << t;
+          EXPECT_EQ(r.burn_slow, a.burn_slow) << "tick " << t;
+          EXPECT_EQ(obs.metrics().GaugeValue("slo.burn.fast", name), a.burn_fast);
+          EXPECT_EQ(obs.metrics().GaugeValue("slo.burn.slow", name), a.burn_slow);
+          EXPECT_EQ(obs.metrics().GaugeValue("slo.attainment", name), r.attainment());
+          EXPECT_EQ(obs.metrics().CounterValue("slo.alerts", name), a.alerts);
+        }
+      }
+      EXPECT_GT(slo.alerts(), 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

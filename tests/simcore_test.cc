@@ -2,9 +2,14 @@
 // and synchronisation primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/simcore/primitives.h"
 #include "src/simcore/simulation.h"
 
@@ -435,6 +440,143 @@ TEST(FutureTest, ReadyFlagAndGet) {
   p.Set(3);
   EXPECT_TRUE(f.ready());
   EXPECT_EQ(f.Get(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Event order property: every way of queueing work, checked against a
+// reference sort by (when, seq).
+// ---------------------------------------------------------------------------
+
+// Drives a Simulation with a seeded random mix of Schedule, ScheduleAt,
+// coroutine Delay (ScheduleResume) and Spawn, many of them zero-delay, from
+// the top level and from inside running events. Every request to queue one
+// event is mirrored into `expected_`, keyed by (when, seq) with seq counting
+// requests; each event, when it runs, must be the smallest pending key.
+class OrderFuzzer {
+ public:
+  OrderFuzzer(Simulation& sim, uint64_t seed, int budget)
+      : sim_(sim), rng_(seed), budget_(budget), token_(std::make_shared<int>(0)) {}
+
+  // Queues zero to two new events (fewer once the budget is spent).
+  void Act() {
+    const int64_t n = rng_.UniformInt(0, 2);
+    for (int64_t i = 0; i < n && budget_ > 0; ++i, --budget_) {
+      const Duration d = RandomDelay();
+      switch (rng_.UniformInt(0, 2)) {
+        case 0: {
+          const uint64_t label = Expect(d);
+          sim_.Schedule(d, [this, label, token = token_] { Ran(label); });
+          break;
+        }
+        case 1: {
+          const uint64_t label = Expect(d);
+          sim_.ScheduleAt(sim_.Now() + d, [this, label, token = token_] { Ran(label); });
+          break;
+        }
+        default:
+          // Spawn queues the root's first step at the current time.
+          sim_.Spawn(Task(Expect(Duration::Zero()), rng_.UniformInt(0, 3), token_));
+          break;
+      }
+    }
+  }
+
+  // Expected events not yet run.
+  size_t pending() const { return expected_.size(); }
+  uint64_t ran() const { return ran_; }
+  // Earliest pending expected time (SimTime::Max() when none).
+  SimTime next_when() const {
+    return expected_.empty() ? SimTime::Max() : std::get<0>(*expected_.begin());
+  }
+  long token_uses() const { return token_.use_count(); }
+
+ private:
+  Duration RandomDelay() {
+    // Zero half the time, otherwise a few microseconds so many events share
+    // a timestamp with heap-held ones.
+    return rng_.Chance(0.5) ? Duration::Zero() : Duration::Micros(rng_.UniformInt(1, 4));
+  }
+
+  uint64_t Expect(Duration d) {
+    const uint64_t label = next_label_++;
+    expected_.emplace(sim_.Now() + d, next_seq_++, label);
+    return label;
+  }
+
+  void Ran(uint64_t label) {
+    ASSERT_FALSE(expected_.empty());
+    const auto [when, seq, expected_label] = *expected_.begin();
+    EXPECT_EQ(label, expected_label);
+    EXPECT_EQ(sim_.Now(), when);
+    expected_.erase(expected_.begin());
+    ++ran_;
+    Act();
+  }
+
+  Co<void> Task(uint64_t first, int64_t steps, std::shared_ptr<int> token) {
+    Ran(first);
+    for (int64_t i = 0; i < steps; ++i) {
+      const Duration d = RandomDelay();
+      const uint64_t label = Expect(d);
+      co_await Delay(sim_, d);
+      Ran(label);
+    }
+  }
+
+  Simulation& sim_;
+  fwbase::Rng rng_;
+  int budget_;
+  std::shared_ptr<int> token_;  // Copied into every callback and task.
+  std::set<std::tuple<SimTime, uint64_t, uint64_t>> expected_;
+  uint64_t next_seq_ = 0;
+  uint64_t next_label_ = 0;
+  uint64_t ran_ = 0;
+};
+
+TEST(SimulationPropertyTest, MixedSchedulingRunsInWhenSeqOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulation sim;
+    OrderFuzzer fuzz(sim, seed, /*budget=*/400);
+    SimTime boundary = sim.Now();
+    int rounds = 0;
+    while ((fuzz.pending() > 0 || rounds == 0) && rounds < 1000) {
+      fuzz.Act();
+      if (rounds % 3 == 2) {
+        // One event past the boundary, whatever its time.
+        const bool any = fuzz.pending() > 0;
+        EXPECT_EQ(sim.StepOne(), any);
+      }
+      boundary = std::max(boundary, sim.Now()) + Duration::Micros(rounds % 4);
+      sim.RunUntil(boundary);
+      // RunUntil ran everything due by the boundary and nothing later.
+      EXPECT_EQ(sim.Now(), boundary);
+      EXPECT_GT(fuzz.next_when(), boundary);
+      ++rounds;
+    }
+    sim.Run();
+    EXPECT_EQ(fuzz.pending(), 0u);
+    EXPECT_EQ(sim.events_processed(), fuzz.ran());
+    // Callbacks that ran released their captures; only the fuzzer's own
+    // reference remains.
+    EXPECT_EQ(fuzz.token_uses(), 1);
+  }
+}
+
+TEST(SimulationPropertyTest, PendingCallbacksAndTasksDestroyedAtTeardown) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    auto sim = std::make_unique<Simulation>();
+    OrderFuzzer fuzz(*sim, seed, /*budget=*/200);
+    for (int i = 0; i < 20; ++i) {
+      fuzz.Act();
+    }
+    sim->RunFor(Duration::Micros(2));
+    ASSERT_GT(fuzz.pending(), 0u);
+    EXPECT_GT(fuzz.token_uses(), 1);
+    sim.reset();  // Destroys queued callbacks and suspended tasks unrun.
+    EXPECT_EQ(fuzz.token_uses(), 1);
+  }
 }
 
 }  // namespace
