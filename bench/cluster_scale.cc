@@ -78,30 +78,6 @@ struct RunResult {
   double sim_seconds = 0.0;
 };
 
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
-}
-
 RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
                      const HostCalibration& calibration, const Options& opt,
                      fwobs::Profiler* profile_into = nullptr) {
@@ -120,7 +96,7 @@ RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
     cluster.obs().profiler().Enable();
   }
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
+  const std::vector<std::string> app_names = fwbench::AppNames(opt.apps);
   for (const std::string& name : app_names) {
     fwlang::FunctionSource fn =
         fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
@@ -134,7 +110,7 @@ RunResult RunCluster(const std::string& label, SchedulerPolicy policy,
   lg.rate_per_sec = opt.rate;
   lg.num_apps = opt.apps;
   lg.seed = opt.seed;  // Same seed for every policy: identical workload.
-  sim.Spawn(DriveLoad(sim, cluster, lg, opt.invocations, app_names));
+  sim.Spawn(fwbench::DriveLoad(sim, cluster, lg, opt.invocations, app_names));
   cluster.Drain(opt.invocations);
 
   RunResult r;

@@ -6,6 +6,7 @@
 
 #include "src/base/check.h"
 #include "src/base/strings.h"
+#include "src/cluster/cluster.h"
 #include "src/fault/fault.h"
 #include "src/obs/export.h"
 
@@ -350,6 +351,30 @@ std::string MiB(double bytes) {
 
 std::vector<std::string> BreakdownRow(const std::string& label, const InvocationResult& r) {
   return {label, Ms(r.startup), Ms(r.exec), Ms(r.others), Ms(r.total)};
+}
+
+std::vector<std::string> AppNames(int apps) {
+  std::vector<std::string> names;
+  names.reserve(apps);
+  for (int i = 0; i < apps; ++i) {
+    names.push_back(StrFormat("app-%03d", i));
+  }
+  return names;
+}
+
+fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+                          fwwork::LoadGenConfig lg_config, uint64_t count,
+                          std::vector<std::string> app_names) {
+  fwwork::LoadGen gen(lg_config);
+  const fwbase::SimTime start = sim.Now();
+  for (uint64_t i = 0; i < count; ++i) {
+    const fwwork::Arrival a = gen.Next();
+    const fwbase::SimTime due = start + a.offset;
+    if (due > sim.Now()) {
+      co_await fwsim::Delay(sim, due - sim.Now());
+    }
+    (void)cluster.Submit(app_names[a.app], "payload");
+  }
 }
 
 }  // namespace fwbench

@@ -16,6 +16,11 @@
 #include "src/core/fireworks.h"
 #include "src/core/platform.h"
 #include "src/simcore/run_sync.h"
+#include "src/workloads/loadgen.h"
+
+namespace fwcluster {
+class Cluster;
+}  // namespace fwcluster
 
 namespace fwbench {
 
@@ -145,6 +150,18 @@ std::vector<std::string> BreakdownRow(const std::string& label, const Invocation
 inline std::vector<std::string> BreakdownColumns() {
   return {"platform", "startup", "exec", "others", "total"};
 }
+
+// ---------------------------------------------------------------------------
+// Cluster benches.
+// ---------------------------------------------------------------------------
+
+// The function names the cluster benches install: "app-000", "app-001", ...
+std::vector<std::string> AppNames(int apps);
+// Submits `count` requests to `cluster`, each at its load-generator arrival
+// offset from the time it starts; arrival app i is `app_names[i]`.
+fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, fwcluster::Cluster& cluster,
+                          fwwork::LoadGenConfig lg_config, uint64_t count,
+                          std::vector<std::string> app_names);
 
 }  // namespace fwbench
 

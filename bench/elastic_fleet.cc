@@ -125,30 +125,6 @@ double PeakRate(const fwwork::LoadGenConfig& lg) {
   return lg.rate_per_sec * (1.0 + lg.diurnal_amplitude) * lg.flash_multiplier;
 }
 
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
-}
-
 RunResult RunFleet(bool elastic, const HostCalibration& calibration,
                    const Options& opt) {
   const fwwork::LoadGenConfig lg = MakeTrace(opt);
@@ -193,7 +169,7 @@ RunResult RunFleet(bool elastic, const HostCalibration& calibration,
   }
   Cluster cluster(sim, std::move(hosts), config);
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
+  const std::vector<std::string> app_names = fwbench::AppNames(opt.apps);
   for (const std::string& name : app_names) {
     fwlang::FunctionSource fn =
         fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
@@ -202,7 +178,7 @@ RunResult RunFleet(bool elastic, const HostCalibration& calibration,
     FW_CHECK_MSG(s.ok(), s.ToString().c_str());
   }
 
-  sim.Spawn(DriveLoad(sim, cluster, lg, opt.invocations, app_names));
+  sim.Spawn(fwbench::DriveLoad(sim, cluster, lg, opt.invocations, app_names));
   cluster.Drain(opt.invocations);
   sim.Run();  // Let in-flight joins/drains and clone prepares settle.
 

@@ -133,30 +133,6 @@ HostCalibration BenchCalibration() {
   return cal;
 }
 
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
-}
-
 LegResult RunLeg(const std::string& label, const Options& opt, double multiplier,
                  bool overload_control, bool hedging, const fwfault::FaultPlan& plan) {
   fwsim::Simulation sim(opt.seed);
@@ -189,7 +165,7 @@ LegResult RunLeg(const std::string& label, const Options& opt, double multiplier
   config.fault_seed = opt.seed * 0x9E3779B97F4A7C15ull + 1;
   Cluster cluster(sim, std::move(hosts), config);
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
+  const std::vector<std::string> app_names = fwbench::AppNames(opt.apps);
   for (const std::string& name : app_names) {
     fwlang::FunctionSource fn =
         fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
@@ -206,7 +182,7 @@ LegResult RunLeg(const std::string& label, const Options& opt, double multiplier
   lg.rate_per_sec = rate;
   lg.num_apps = opt.apps;
   lg.seed = opt.seed;
-  sim.Spawn(DriveLoad(sim, cluster, lg, warmup + invocations, app_names));
+  sim.Spawn(fwbench::DriveLoad(sim, cluster, lg, warmup + invocations, app_names));
   cluster.Drain(warmup + invocations);
   sim.Run();  // Drain surplus hedge copies through their discard path.
 

@@ -121,30 +121,6 @@ std::vector<Variant> MakeVariants() {
   return variants;
 }
 
-std::vector<std::string> AppNames(int apps) {
-  std::vector<std::string> names;
-  names.reserve(apps);
-  for (int i = 0; i < apps; ++i) {
-    names.push_back(fwbase::StrFormat("app-%03d", i));
-  }
-  return names;
-}
-
-fwsim::Co<void> DriveLoad(fwsim::Simulation& sim, Cluster& cluster,
-                          fwwork::LoadGenConfig lg_config, uint64_t count,
-                          std::vector<std::string> app_names) {
-  fwwork::LoadGen gen(lg_config);
-  const fwbase::SimTime start = sim.Now();
-  for (uint64_t i = 0; i < count; ++i) {
-    const fwwork::Arrival a = gen.Next();
-    const fwbase::SimTime due = start + a.offset;
-    if (due > sim.Now()) {
-      co_await fwsim::Delay(sim, due - sim.Now());
-    }
-    (void)cluster.Submit(app_names[a.app], "payload");
-  }
-}
-
 RunResult RunVariant(const Variant& variant, const HostCalibration& calibration,
                      const Options& opt) {
   fwsim::Simulation sim(opt.seed);
@@ -160,7 +136,7 @@ RunResult RunVariant(const Variant& variant, const HostCalibration& calibration,
   config.distribution = variant.dist;
   Cluster cluster(sim, std::move(hosts), config);
 
-  const std::vector<std::string> app_names = AppNames(opt.apps);
+  const std::vector<std::string> app_names = fwbench::AppNames(opt.apps);
   for (const std::string& name : app_names) {
     fwlang::FunctionSource fn =
         fwwork::MakeFaasdom(fwwork::FaasdomBench::kNetLatency, fwlang::Language::kNodeJs);
@@ -174,7 +150,7 @@ RunResult RunVariant(const Variant& variant, const HostCalibration& calibration,
   lg.rate_per_sec = opt.rate;
   lg.num_apps = opt.apps;
   lg.seed = opt.seed;  // Same seed for every variant: identical workload.
-  sim.Spawn(DriveLoad(sim, cluster, lg, opt.invocations, app_names));
+  sim.Spawn(fwbench::DriveLoad(sim, cluster, lg, opt.invocations, app_names));
   cluster.Drain(opt.invocations);
 
   RunResult r;

@@ -188,19 +188,20 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
   if (it == installed_.end()) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
-  InstalledFunction& fn = it->second;
   InvocationResult result;
   const SimTime t0 = env_.sim().Now();
   fwobs::ScopedSpan root(tracer_, params_.platform_name + ".invoke", "invoke");
   root.SetAttribute("function", fn_name);
   fwobs::ScopedSpan startup_span(tracer_, "invoke.startup", "invoke");
 
+  // Past the first suspension installed_ is looked up afresh rather than
+  // held across one: other coroutines run while this one waits.
   std::unique_ptr<Sandbox> sandbox;
-  if (fn.warm != nullptr && !options.force_cold) {
+  if (it->second.warm != nullptr && !options.force_cold) {
     result.cold = false;
     // Claim the warm sandbox *before* suspending: a concurrent invocation
     // must not grab the same container.
-    sandbox = std::move(fn.warm);
+    sandbox = std::move(it->second.warm);
     co_await fwsim::Delay(env_.sim(), params_.warm_controller_cost);
     Status resumed = co_await engine_.Unpause(*sandbox->container);
     if (!resumed.ok()) {
@@ -226,7 +227,7 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
     // : co_await b` (sibling of the aggregate-copy bug, see simcore/coro.h).
     Result<std::unique_ptr<Sandbox>> launched = Status::Internal("unreachable");
     if (params_.checkpoint_starts) {
-      launched = co_await RestoreSandbox(fn, sandbox_name);
+      launched = co_await RestoreSandbox(installed_.at(fn_name), sandbox_name);
       if (!launched.ok()) {
         // Checkpoint path failed (restore crash, corrupted or evicted
         // checkpoint): degrade to a full container launch.
@@ -234,10 +235,10 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
             .GetCounter(params_.platform_name + ".coldboot_fallback.count")
             .Increment();
         result.cold_boot_fallback = true;
-        launched = co_await LaunchSandbox(fn, sandbox_name);
+        launched = co_await LaunchSandbox(installed_.at(fn_name), sandbox_name);
       }
     } else {
-      launched = co_await LaunchSandbox(fn, sandbox_name);
+      launched = co_await LaunchSandbox(installed_.at(fn_name), sandbox_name);
     }
     if (!launched.ok()) {
       co_return launched.status();
@@ -258,7 +259,8 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
 
   fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
   result.exec_stats =
-      co_await sandbox->process->CallMethod(fn.source->entry_method, options.type_sig);
+      co_await sandbox->process->CallMethod(installed_.at(fn_name).source->entry_method,
+                                            options.type_sig);
   exec_span.End();
   const SimTime t_exec_done = env_.sim().Now();
 
@@ -282,7 +284,7 @@ fwsim::Co<Result<InvocationResult>> ContainerPlatform::Invoke(const std::string&
     // Keep-alive: the container stays warm for the next request.
     Status paused = co_await engine_.Pause(*sandbox->container);
     FW_CHECK(paused.ok());
-    StashWarm(fn, std::move(sandbox), fn_name);
+    StashWarm(installed_.at(fn_name), std::move(sandbox), fn_name);
   }
   co_return result;
 }

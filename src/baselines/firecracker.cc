@@ -13,12 +13,17 @@ using fwlang::ExecEnv;
 using fwlang::GuestProcess;
 using fwvmm::MicroVm;
 
+namespace {
+// A sandbox manager is driven directly; minimal per-request handling.
+constexpr Duration kRequestCost = Duration::Micros(250);
+}  // namespace
+
 FirecrackerPlatform::FirecrackerPlatform(HostEnv& env) : FirecrackerPlatform(env, Config()) {}
 
 FirecrackerPlatform::FirecrackerPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store(), config.hv_config),
+      hv_(env.sim(), env.memory(), env.snapshot_store()),
       tracer_(&env.tracer()) {
   hv_.set_observability(&env.obs());
   hv_.set_fault_injector(&env.fault_injector());
@@ -53,7 +58,7 @@ fwsim::Co<Result<InstallResult>> FirecrackerPlatform::Install(
 
   if (config_.mode == FirecrackerMode::kOsSnapshot) {
     // Snapshot right after the guest OS finishes booting (§5.5).
-    MicroVm* vm = co_await hv_.CreateMicroVm("fcos-install-" + fn.name, config_.vm_config);
+    MicroVm* vm = co_await hv_.CreateMicroVm("fcos-install-" + fn.name, fwvmm::MicroVmConfig());
     Status booted = co_await hv_.BootGuestOs(*vm);
     if (!booted.ok()) {
       FW_CHECK(hv_.Destroy(*vm).ok());
@@ -87,29 +92,21 @@ FirecrackerPlatform::LaunchSandbox(const InstalledFunction& fn,
     if (restored.ok()) {
       sandbox->vm = *restored;
       // Post-restore guest-kernel activity.
-      auto& space = sandbox->vm->address_space();
-      fwmem::FaultCounts faults;
-      const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-      const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-      faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-      faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-      faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                          3000 + next_instance_);
-      faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                          4000 + next_instance_);
-      co_await hv_.ServiceFaults(*sandbox->vm, faults);
+      co_await hv_.ServiceFaults(
+          *sandbox->vm, fwvmm::TouchGuestOs(sandbox->vm->address_space(), fwvmm::kGuestOsResume,
+                                            3000 + next_instance_, 4000 + next_instance_));
     } else {
       // Snapshot path failed (restore crash, corrupted or evicted image):
       // degrade to a full guest-OS boot.
       env_.metrics().GetCounter("fc.coldboot_fallback.count").Increment();
-      sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, config_.vm_config);
+      sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, fwvmm::MicroVmConfig());
       Status booted = co_await hv_.BootGuestOs(*sandbox->vm);
       if (!booted.ok()) {
         co_return booted;
       }
     }
   } else {
-    sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, config_.vm_config);
+    sandbox->vm = co_await hv_.CreateMicroVm(sandbox_name, fwvmm::MicroVmConfig());
     Status booted = co_await hv_.BootGuestOs(*sandbox->vm);
     if (!booted.ok()) {
       co_return booted;
@@ -162,23 +159,24 @@ fwsim::Co<Status> FirecrackerPlatform::Prewarm(const std::string& fn_name) {
 fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::string& fn_name,
                                                                 const std::string& args,
                                                                 const InvokeOptions& options) {
-  auto it = installed_.find(fn_name);
-  if (it == installed_.end()) {
+  if (installed_.count(fn_name) == 0) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
-  InstalledFunction& fn = it->second;
   InvocationResult result;
   const SimTime t0 = env_.sim().Now();
   fwobs::ScopedSpan root(tracer_, "firecracker.invoke", "invoke");
   root.SetAttribute("function", fn_name);
   fwobs::ScopedSpan startup_span(tracer_, "invoke.startup", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.request_cost);
+  co_await fwsim::Delay(env_.sim(), kRequestCost);
 
+  // installed_ is looked up afresh after each suspension, as in Prewarm,
+  // rather than held across one: other coroutines run while this one waits.
   std::unique_ptr<Sandbox> sandbox;
-  if (fn.warm != nullptr && !options.force_cold) {
+  std::unique_ptr<Sandbox>& warm = installed_.at(fn_name).warm;
+  if (warm != nullptr && !options.force_cold) {
     // Warm start: resume the paused sandbox.
     result.cold = false;
-    sandbox = std::move(fn.warm);
+    sandbox = std::move(warm);
     Status resumed = co_await hv_.Resume(*sandbox->vm);
     if (!resumed.ok()) {
       // The VMM process died resuming the warm sandbox: discard the dead
@@ -195,8 +193,9 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
   }
   if (sandbox == nullptr) {
     auto launched = co_await LaunchSandbox(
-        fn, fwbase::StrFormat("fc-%s-%llu", fn_name.c_str(),
-                              static_cast<unsigned long long>(next_instance_)));
+        installed_.at(fn_name),
+        fwbase::StrFormat("fc-%s-%llu", fn_name.c_str(),
+                          static_cast<unsigned long long>(next_instance_)));
     if (!launched.ok()) {
       co_return launched.status();
     }
@@ -216,7 +215,8 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
 
   fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
   result.exec_stats =
-      co_await sandbox->process->CallMethod(fn.source->entry_method, options.type_sig);
+      co_await sandbox->process->CallMethod(installed_.at(fn_name).source->entry_method,
+                                            options.type_sig);
   exec_span.End();
   const SimTime t_exec_done = env_.sim().Now();
 
@@ -239,24 +239,16 @@ fwsim::Co<Result<InvocationResult>> FirecrackerPlatform::Invoke(const std::strin
   if (options.keep_instance) {
     if (options.steady_state && config_.mode == FirecrackerMode::kOsSnapshot) {
       // Steady-state guest residency for long-running restored instances.
-      auto& space = sandbox->vm->address_space();
-      fwmem::FaultCounts faults;
-      const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-      const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-      faults += space.TouchRandomFraction(kern, config_.guest_os_steady_touch_fraction, 7);
-      faults += space.TouchRandomFraction(os, config_.guest_os_steady_touch_fraction, 8);
-      faults += space.DirtyRandomFraction(kern, config_.guest_os_steady_dirty_fraction,
-                                          5000 + next_instance_);
-      faults += space.DirtyRandomFraction(os, config_.guest_os_steady_dirty_fraction,
-                                          6000 + next_instance_);
-      co_await hv_.ServiceFaults(*sandbox->vm, faults);
+      co_await hv_.ServiceFaults(
+          *sandbox->vm, fwvmm::TouchGuestOs(sandbox->vm->address_space(), fwvmm::kGuestOsSteady,
+                                            5000 + next_instance_, 6000 + next_instance_));
     }
     kept_.push_back(std::move(sandbox));
   } else {
     // The sandbox stays warm for the next request (§2.2 keep-alive).
     Status paused = co_await hv_.Pause(*sandbox->vm);
     FW_CHECK(paused.ok());
-    fn.warm = std::move(sandbox);
+    installed_.at(fn_name).warm = std::move(sandbox);
   }
   co_return result;
 }

@@ -50,11 +50,9 @@ fwsim::Co<Result<InstallResult>> IsolatePlatform::Install(const fwlang::Function
 fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& fn_name,
                                                             const std::string& args,
                                                             const InvokeOptions& options) {
-  auto it = installed_.find(fn_name);
-  if (it == installed_.end()) {
+  if (installed_.count(fn_name) == 0) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
-  InstalledFunction& fn = it->second;
   InvocationResult result;
   const SimTime t0 = env_.sim().Now();
   fwobs::ScopedSpan root(&env_.tracer(), "isolate.invoke", "invoke");
@@ -62,10 +60,11 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
   fwobs::ScopedSpan startup_span(&env_.tracer(), "invoke.startup", "invoke");
   co_await fwsim::Delay(env_.sim(), fwbase::Duration::Micros(120));  // Router.
 
+  // installed_ is looked up afresh after each suspension rather than held
+  // across one: other coroutines run while this one waits.
+  InstalledFunction& fn = installed_.at(fn_name);
   if (fn.isolate == nullptr || options.force_cold) {
-    if (fn.isolate != nullptr) {
-      fn.isolate.reset();
-    }
+    fn.isolate.reset();
     result.cold = true;
     auto isolate = std::make_unique<Isolate>();
     isolate->space = std::make_unique<fwmem::AddressSpace>(
@@ -83,8 +82,8 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
                                                       guest_env, charger);
     isolate->process->set_mem_salt(next_instance_++);
     co_await isolate->process->AttachRuntime();
-    co_await isolate->process->LoadApplication(*fn.source);
-    fn.isolate = std::move(isolate);
+    co_await isolate->process->LoadApplication(*installed_.at(fn_name).source);
+    installed_.at(fn_name).isolate = std::move(isolate);
   } else {
     result.cold = false;
   }
@@ -99,8 +98,9 @@ fwsim::Co<Result<InvocationResult>> IsolatePlatform::Invoke(const std::string& f
   const SimTime t_args = env_.sim().Now();
 
   fwobs::ScopedSpan exec_span(&env_.tracer(), "invoke.exec", "invoke");
+  const InstalledFunction& ready = installed_.at(fn_name);
   result.exec_stats =
-      co_await fn.isolate->process->CallMethod(fn.source->entry_method, options.type_sig);
+      co_await ready.isolate->process->CallMethod(ready.source->entry_method, options.type_sig);
   exec_span.End();
   const SimTime t_exec_done = env_.sim().Now();
 

@@ -141,7 +141,14 @@ Cluster::Cluster(fwsim::Simulation& sim, std::vector<std::unique_ptr<ClusterHost
   }
 }
 
-Cluster::~Cluster() { Shutdown(); }
+Cluster::~Cluster() {
+  Shutdown();
+  // Requests still in flight are suspended frames that reference the hosts
+  // (a restore holds its snapshot image, whose frames live in the host's
+  // memory); they must die before hosts_ does.
+  sim_.DestroyRoots();
+  sim_.set_profiler(nullptr);
+}
 
 void Cluster::Shutdown() { running_ = false; }
 
@@ -304,7 +311,7 @@ uint64_t Cluster::Submit(const std::string& fn_name, const std::string& args,
     req.deadline = req.submitted + deadline;
   }
   outcomes_.emplace_back();
-  outcomes_.back().fn = fn_name;
+  outcomes_.back().app = req.app;
   primary_host_.push_back(-1);
   // Demand signals for the fleet planner and the zone spreader (pure
   // bookkeeping; both loops are gated off in a default config).

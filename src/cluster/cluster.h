@@ -226,7 +226,7 @@ class Cluster {
   struct Outcome {
     Outcome() {}
 
-    std::string fn;
+    AppId app = 0;        // The function; its name is app_name(app).
     Status status;        // Terminal status of the request.
     int host = -1;        // Host that served the recorded completion.
     int attempts = 1;     // Dispatch attempts (1 = no retry).
@@ -283,6 +283,8 @@ class Cluster {
 
   // Outcome of request `id` (valid once terminal).
   const Outcome& outcome(uint64_t id) const;
+  // The function name behind an AppId (from Outcome::app).
+  const std::string& app_name(AppId app) const { return apps_.Name(app); }
   uint64_t submitted() const { return outcomes_.size(); }
   uint64_t terminal() const { return counters_.completed.value() + counters_.failed.value(); }
   Rollup ComputeRollup() const;

@@ -15,7 +15,7 @@ FullHost::FullHost(fwsim::Simulation& sim, int id, const Config& config)
     : id_(id),
       memory_bytes_(static_cast<double>(config.env.memory_bytes)),
       env_(sim, config.env),
-      platform_(env_, config.fw) {}
+      platform_(env_) {}
 
 fwsim::Co<Status> FullHost::Install(const fwlang::FunctionSource& fn) {
   auto r = co_await platform_.Install(fn);

@@ -89,7 +89,6 @@ class FullHost : public ClusterHost {
   struct Config {
     Config() {}
     fwcore::HostEnv::Config env;
-    fwcore::FireworksPlatform::Config fw;
   };
 
   FullHost(fwsim::Simulation& sim, int id, const Config& config);

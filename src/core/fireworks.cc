@@ -13,12 +13,28 @@ using fwlang::ExecEnv;
 using fwlang::GuestProcess;
 using fwvmm::MicroVm;
 
+namespace {
+// Frontend + controller processing per request (Fig 1).
+constexpr Duration kControllerCost = Duration::Micros(900);
+// ip netns add + veth pair + iptables DNAT/SNAT rules (§3.5).
+constexpr Duration kNetnsSetupCost = Duration::MillisF(2.2);
+// Long-running GC churn over the runtime heap (V8 old-space turnover).
+constexpr double kSteadyRuntimeHeapDirtyFraction = 0.65;
+// Per-invocation deadline from request arrival when the caller sets none;
+// crossing it fails the invocation with kDeadlineExceeded instead of
+// retrying.
+constexpr Duration kInvokeTimeout = Duration::Millis(30000);
+// Deadline for the guest's parameter fetch: bounds the wait when a broker
+// fault drops the args record (the guest would otherwise hang forever).
+constexpr Duration kParamsConsumeTimeout = Duration::Millis(500);
+}  // namespace
+
 FireworksPlatform::FireworksPlatform(HostEnv& env) : FireworksPlatform(env, Config()) {}
 
 FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
     : env_(env),
       config_(config),
-      hv_(env.sim(), env.memory(), env.snapshot_store(), config.hv_config),
+      hv_(env.sim(), env.memory(), env.snapshot_store()),
       tracer_(&env.tracer()) {
   hv_.set_observability(&env.obs());
   hv_.set_fault_injector(&env.fault_injector());
@@ -26,8 +42,8 @@ FireworksPlatform::FireworksPlatform(HostEnv& env, const Config& config)
 
 FireworksPlatform::~FireworksPlatform() { ReleaseInstances(); }
 
-fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> FireworksPlatform::WireNetwork() {
-  co_await fwsim::Delay(env_.sim(), config_.netns_setup_cost);
+fwsim::Co<Result<uint64_t>> FireworksPlatform::WireNetwork() {
+  co_await fwsim::Delay(env_.sim(), kNetnsSetupCost);
   fwnet::NetworkNamespace& ns = env_.network().CreateNamespace();
   Status tap = ns.AttachTap({kGuestTapName, kGuestIp, fwnet::MacAddr(0xFA57F00D)});
   if (!tap.ok()) {
@@ -47,7 +63,7 @@ fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> FireworksPlatform::WireNet
     (void)env_.network().DestroyNamespace(ns.id());
     co_return bind;
   }
-  co_return std::make_pair(ns.id(), external);
+  co_return ns.id();
 }
 
 ExecEnv FireworksPlatform::MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_id,
@@ -94,7 +110,7 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
 
   // ① Create a microVM ready for the runtime and boot it.
   fwobs::ScopedSpan create_span(tracer_, "install.create_vm", "install");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-install-" + fn.name, config_.vm_config);
+  MicroVm* vm = co_await hv_.CreateMicroVm("fw-install-" + fn.name, fwvmm::MicroVmConfig());
   create_span.End();
   fwobs::ScopedSpan boot_span(tracer_, "install.boot", "install");
   Status booted = co_await hv_.BootGuestOs(*vm);
@@ -111,7 +127,7 @@ fwsim::Co<Result<InstallResult>> FireworksPlatform::Install(const fwlang::Functi
     FW_CHECK(hv_.Destroy(*vm).ok());
     co_return wired.status();
   }
-  const auto [netns_id, external_ip] = *wired;
+  const uint64_t netns_id = *wired;
   vm->set_netns_id(netns_id);
   vm->set_tap_name(kGuestTapName);
   netns_span.End();
@@ -192,7 +208,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
   result.cold = false;  // Fireworks has no cold/warm distinction (§5.1).
   const SimTime t0 = env_.sim().Now();
   const SimTime deadline =
-      t0 + (options.deadline.nanos() > 0 ? options.deadline : config_.invoke_timeout);
+      t0 + (options.deadline.nanos() > 0 ? options.deadline : kInvokeTimeout);
   // The invoke children are contiguous windows: each child ends exactly where
   // the next begins, so their durations sum to the root span's (= total).
   fwobs::ScopedSpan root(tracer_, "fireworks.invoke", "invoke");
@@ -200,19 +216,19 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
 
   // Controller processing (Fig 1); paid once, not per attempt.
   fwobs::ScopedSpan frontend_span(tracer_, "invoke.frontend", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.controller_cost);
+  co_await fwsim::Delay(env_.sim(), kControllerCost);
   frontend_span.End();
   const SimTime t_frontend_done = env_.sim().Now();
 
   Status last_error = Status::Ok();
-  for (int attempt = 1; attempt <= config_.max_invoke_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMaxInvokeAttempts; ++attempt) {
     result.attempts = attempt;
     auto instance = std::make_unique<Instance>();
-    AttemptTimes times;
     // installed_ is a node-based map and no code path erases entries, so the
     // fn reference stays valid across suspensions.
-    Status attempted = co_await InvokeAttempt(fn, fn_name, args, options, *instance,  // fwlint:allow(iterator-invalidation)
-                                              times, result);
+    instance->fn = &fn;  // fwlint:allow(iterator-invalidation)
+    AttemptTimes times;
+    Status attempted = co_await InvokeAttempt(fn_name, args, options, *instance, times, result);
     if (attempted.ok()) {
       // On attempt 1, times.attempt_start == t_frontend_done, making startup
       // exactly (net_done - t0) + (restored - params_queued) — the original
@@ -228,8 +244,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       root.End();
       result.root_span = root.get();
 
-      if (config_.record_working_set && fn.image != nullptr &&
-          !fn.image->has_working_set() && instance->vm != nullptr) {
+      if (fn.image != nullptr && !fn.image->has_working_set() && instance->vm != nullptr) {
         // REAP record phase: the pages this first invocation faulted in from
         // the image become the snapshot's working set. Later cold restores
         // prefetch exactly these pages.
@@ -246,18 +261,10 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
           // pages in the runtime heap. Charged after the latency measurement.
           const uint64_t fc_id = instance->fc_id;
           auto& space = instance->vm->address_space();
-          fwmem::FaultCounts faults;
-          const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-          const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-          faults += space.TouchRandomFraction(kern, config_.guest_os_steady_touch_fraction, 7);
-          faults += space.TouchRandomFraction(os, config_.guest_os_steady_touch_fraction, 8);
-          faults += space.DirtyRandomFraction(kern, config_.guest_os_steady_dirty_fraction,
-                                              5000 + fc_id);
-          faults += space.DirtyRandomFraction(os, config_.guest_os_steady_dirty_fraction,
-                                              6000 + fc_id);
+          fwmem::FaultCounts faults =
+              fwvmm::TouchGuestOs(space, fwvmm::kGuestOsSteady, 5000 + fc_id, 6000 + fc_id);
           faults += space.DirtyRandomFraction(space.SegmentByName(fwlang::kSegRuntimeHeap),
-                                              config_.steady_runtime_heap_dirty_fraction,
-                                              7000 + fc_id);
+                                              kSteadyRuntimeHeapDirtyFraction, 7000 + fc_id);
           co_await hv_.ServiceFaults(*instance->vm, faults);
         }
         instances_.push_back(std::move(instance));
@@ -306,7 +313,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::Invoke(const std::string&
       break;
     }
 
-    if (attempt < config_.max_invoke_attempts) {
+    if (attempt < kMaxInvokeAttempts) {
       // Exponential backoff with jitter from the sim RNG (drawn only here, on
       // the failure path, so fault-free runs never consume it).
       const Duration base = config_.retry_backoff * static_cast<int64_t>(1 << (attempt - 1));
@@ -355,59 +362,40 @@ fwsim::Co<void> FireworksPlatform::RestoreUniqueness(fwlang::GuestProcess& proce
   env_.metrics().GetCounter("fw.uniqueness.reseed.count").Increment();
 }
 
-fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
-                                                   const std::string& fn_name,
-                                                   const std::string& args,
-                                                   const InvokeOptions& options,
-                                                   Instance& instance, AttemptTimes& times,
-                                                   InvocationResult& result) {
-  times.attempt_start = env_.sim().Now();
-  instance.fn = &fn;
-
+fwsim::Co<Status> FireworksPlatform::OpenInstance(Instance& instance) {
   // Per-clone network namespace (§3.5).
-  fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
   auto wired = co_await WireNetwork();
   if (!wired.ok()) {
     co_return wired.status();
   }
-  const auto [netns_id, external_ip] = *wired;
-  instance.netns_id = netns_id;
-  instance.external_ip = external_ip;
-  netns_span.End();
-  times.net_done = env_.sim().Now();
-
-  // §3.6: put the arguments into the instance's Kafka topic *before* resume.
-  fwobs::ScopedSpan produce_span(tracer_, "invoke.params.produce", "invoke");
-  const uint64_t fc_id = next_fc_id_++;
-  instance.fc_id = fc_id;
-  const std::string topic = fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(fc_id));
+  instance.netns_id = *wired;
+  instance.fc_id = next_fc_id_++;
+  std::string topic =
+      fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(instance.fc_id));
   Status topic_status = env_.broker().CreateTopic(topic);
   if (!topic_status.ok()) {
     co_return topic_status;
   }
-  instance.topic = topic;
-  auto produced = co_await env_.broker().Produce(topic, 0, fwbus::Record("args", args));
-  if (!produced.ok()) {
-    co_return produced.status();
-  }
-  produce_span.End();
-  times.params_queued = env_.sim().Now();
+  instance.topic = std::move(topic);
+  co_return Status::Ok();
+}
 
-  // ⑥ Restore the post-JIT snapshot into a fresh microVM.
-  fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
-  auto restored = co_await hv_.RestoreMicroVm(fn.snapshot_name,
-                                              fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(),
-                                                                static_cast<unsigned long long>(
-                                                                    fc_id)));
+fwsim::Co<Status> FireworksPlatform::RestoreInstance(Instance& instance,
+                                                     const std::string& fn_name) {
+  const InstalledFunction& fn = *instance.fn;
+  const uint64_t fc_id = instance.fc_id;
+  auto restored = co_await hv_.RestoreMicroVm(
+      fn.snapshot_name,
+      fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(), static_cast<unsigned long long>(fc_id)));
   if (!restored.ok()) {
     co_return restored.status();
   }
   MicroVm* vm = *restored;
   instance.vm = vm;
-  vm->set_netns_id(netns_id);
+  vm->set_netns_id(instance.netns_id);
   vm->set_tap_name(kGuestTapName);
   vm->SetMetadata("fcID", std::to_string(fc_id));
-  vm->SetMetadata("topic", topic);
+  vm->SetMetadata("topic", instance.topic);
 
   if (config_.prefetch_on_restore && !fn.image->cache_warm()) {
     // With a recorded working set, prefetch only the pages a first invocation
@@ -418,48 +406,37 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
     co_await hv_.PrefetchWorkingSet(*fn.image, prefetch_bytes);
   }
 
-  // Post-resume guest-kernel activity: page tables, slab, timers re-arming.
-  {
-    auto& space = vm->address_space();
-    fwmem::FaultCounts faults;
-    const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-    const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-    faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-    faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-    faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                        1000 + fc_id);
-    faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                        2000 + fc_id);
-    co_await hv_.ServiceFaults(*vm, faults);
-  }
+  // Post-resume guest-kernel activity: page tables, slab, timers re-arming
+  // (salts keyed by fc_id, so clones never collide).
+  co_await hv_.ServiceFaults(*vm, fwvmm::TouchGuestOs(vm->address_space(), fwvmm::kGuestOsResume,
+                                                      1000 + fc_id, 2000 + fc_id));
 
   // Attach the resumed guest's runtime (free: the process state is a value
-  // copy), then restore its uniqueness while still inside the restore window
-  // — the clone must not touch user traffic with snapshot-duplicated
-  // identity (DESIGN.md §15).
+  // copy), then restore its uniqueness before the clone can see user
+  // traffic: a clone must never serve with snapshot-duplicated identity
+  // (DESIGN.md §15). A crash before the protocol completes leaves the
+  // clone's observed generation stale, and InvokeOnClone refuses it.
   instance.fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
                                                       fwstore::FsKind::kVirtio);
-  instance.process = GuestProcess::FromState(fn.process_state, env_.sim(),
-                                             vm->address_space(),
-                                             MakeGuestEnv(instance.fs.get(), netns_id,
-                                                          kGuestIp),
-                                             ChargerFor(vm));
+  instance.process = GuestProcess::FromState(
+      fn.process_state, env_.sim(), vm->address_space(),
+      MakeGuestEnv(instance.fs.get(), instance.netns_id, kGuestIp), ChargerFor(vm));
   instance.process->set_mem_salt(fc_id);
   if (config_.restore_uniqueness) {
     co_await RestoreUniqueness(*instance.process, *vm);
   }
-  restore_span.End();
-  times.restored = env_.sim().Now();
-  fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
+  co_return Status::Ok();
+}
 
-  // The resumed guest identifies itself via MMDS and fetches its parameters.
-  auto fc_id_value = co_await hv_.GuestReadMmds(*vm, "fcID");
-  FW_CHECK(fc_id_value.ok());
+fwsim::Co<Status> FireworksPlatform::Serve(Instance& instance, const std::string& fn_name,
+                                           const InvokeOptions& options,
+                                           fwobs::ScopedSpan& consume_span, AttemptTimes& times,
+                                           InvocationResult& result) {
   // Bounded wait: a dropped args record must surface as kDeadlineExceeded,
   // not a hang. With the record already present (the normal case) the timing
   // is identical to the unbounded ConsumeLast.
-  auto params = co_await env_.broker().ConsumeLastWithTimeout(topic, 0,
-                                                              config_.params_consume_timeout);
+  auto params =
+      co_await env_.broker().ConsumeLastWithTimeout(instance.topic, 0, kParamsConsumeTimeout);
   if (!params.ok()) {
     co_return params.status();
   }
@@ -472,13 +449,13 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   }
   fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
   result.exec_stats =
-      co_await instance.process->CallMethod(fn.annotated->entry_method, options.type_sig);
+      co_await instance.process->CallMethod(instance.fn->annotated->entry_method, options.type_sig);
   exec_span.End();
   times.exec_done = env_.sim().Now();
 
   // HTTP response back through NAT.
   fwobs::ScopedSpan response_span(tracer_, "invoke.response", "invoke");
-  auto sent = co_await env_.network().SendOutbound(netns_id, kGuestIp, 579);
+  auto sent = co_await env_.network().SendOutbound(instance.netns_id, kGuestIp, 579);
   if (!sent.ok()) {
     co_return sent.status();
   }
@@ -487,97 +464,68 @@ fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const InstalledFunction& fn,
   co_return Status::Ok();
 }
 
+fwsim::Co<Status> FireworksPlatform::InvokeAttempt(const std::string& fn_name,
+                                                   const std::string& args,
+                                                   const InvokeOptions& options,
+                                                   Instance& instance, AttemptTimes& times,
+                                                   InvocationResult& result) {
+  times.attempt_start = env_.sim().Now();
+  {
+    fwobs::ScopedSpan netns_span(tracer_, "invoke.netns", "invoke");
+    Status opened = co_await OpenInstance(instance);
+    if (!opened.ok()) {
+      co_return opened;
+    }
+  }
+  times.net_done = env_.sim().Now();
+
+  // §3.6: put the arguments into the instance's Kafka topic *before* resume.
+  fwobs::ScopedSpan produce_span(tracer_, "invoke.params.produce", "invoke");
+  auto produced = co_await env_.broker().Produce(instance.topic, 0, fwbus::Record("args", args));
+  if (!produced.ok()) {
+    co_return produced.status();
+  }
+  produce_span.End();
+  times.params_queued = env_.sim().Now();
+
+  {
+    fwobs::ScopedSpan restore_span(tracer_, "invoke.restore", "invoke");
+    Status restored = co_await RestoreInstance(instance, fn_name);
+    if (!restored.ok()) {
+      co_return restored;
+    }
+  }
+  times.restored = env_.sim().Now();
+
+  // The resumed guest identifies itself via MMDS and fetches its parameters.
+  fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
+  auto fc_id_value = co_await hv_.GuestReadMmds(*instance.vm, "fcID");
+  FW_CHECK(fc_id_value.ok());
+  co_return co_await Serve(instance, fn_name, options, consume_span, times, result);
+}
+
 fwsim::Co<Result<uint64_t>> FireworksPlatform::PrepareClone(const std::string& fn_name) {
   auto it = installed_.find(fn_name);
   if (it == installed_.end()) {
     co_return Status::NotFound("function " + fn_name + " is not installed");
   }
-  const InstalledFunction& fn = it->second;
   fwobs::ScopedSpan root(tracer_, "fireworks.prepare_clone", "warmpool");
   root.SetAttribute("function", fn_name);
   auto instance = std::make_unique<Instance>();
-  instance->fn = &fn;
-
-  auto wired = co_await WireNetwork();
-  if (!wired.ok()) {
-    co_return wired.status();
+  instance->fn = &it->second;
+  Status prepared = co_await OpenInstance(*instance);
+  if (prepared.ok()) {
+    prepared = co_await RestoreInstance(*instance, fn_name);
   }
-  const auto [netns_id, external_ip] = *wired;
-  instance->netns_id = netns_id;
-  instance->external_ip = external_ip;
-
-  const uint64_t fc_id = next_fc_id_++;
-  instance->fc_id = fc_id;
-  const std::string topic =
-      fwbase::StrFormat("topic%llu", static_cast<unsigned long long>(fc_id));
-  Status topic_status = env_.broker().CreateTopic(topic);
-  if (!topic_status.ok()) {
+  if (!prepared.ok()) {
     Teardown(*instance);
-    co_return topic_status;
+    co_return prepared;
   }
-  instance->topic = topic;
-
-  // installed_ is a node-based map and no code path erases entries, so the
-  // fn reference stays valid across suspensions.
-  auto restored = co_await hv_.RestoreMicroVm(
-      fn.snapshot_name,  // fwlint:allow(iterator-invalidation)
-      fwbase::StrFormat("fw-%s-%llu", fn_name.c_str(),
-                        static_cast<unsigned long long>(fc_id)));
-  if (!restored.ok()) {
-    Teardown(*instance);
-    co_return restored.status();
-  }
-  MicroVm* vm = *restored;
-  instance->vm = vm;
-  vm->set_netns_id(netns_id);
-  vm->set_tap_name(kGuestTapName);
-  vm->SetMetadata("fcID", std::to_string(fc_id));
-  vm->SetMetadata("topic", topic);
-
-  if (config_.prefetch_on_restore && !fn.image->cache_warm()) {
-    // With a recorded working set, prefetch only the pages a first invocation
-    // actually touched; otherwise fall back to reading the whole file.
-    const uint64_t prefetch_bytes = fn.image->has_working_set()
-                                        ? fn.image->working_set_bytes()
-                                        : fn.image->file_bytes();
-    co_await hv_.PrefetchWorkingSet(*fn.image, prefetch_bytes);
-  }
-
-  // Post-resume guest-kernel activity, identical to the invoke path (salts
-  // are keyed by fc_id, so clones never collide).
-  {
-    auto& space = vm->address_space();
-    fwmem::FaultCounts faults;
-    const auto kern = space.SegmentByName(fwvmm::kSegGuestKernel);
-    const auto os = space.SegmentByName(fwvmm::kSegGuestOs);
-    faults += space.TouchRandomFraction(kern, config_.guest_os_resume_touch_fraction, 7);
-    faults += space.TouchRandomFraction(os, config_.guest_os_resume_touch_fraction, 8);
-    faults += space.DirtyRandomFraction(kern, config_.guest_os_resume_dirty_fraction,
-                                        1000 + fc_id);
-    faults += space.DirtyRandomFraction(os, config_.guest_os_resume_dirty_fraction,
-                                        2000 + fc_id);
-    co_await hv_.ServiceFaults(*vm, faults);
-  }
-
-  instance->fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),
-                                                       fwstore::FsKind::kVirtio);
-  instance->process = GuestProcess::FromState(fn.process_state, env_.sim(),
-                                              vm->address_space(),
-                                              MakeGuestEnv(instance->fs.get(), netns_id,
-                                                           kGuestIp),
-                                              ChargerFor(vm));
-  instance->process->set_mem_salt(fc_id);
-  if (config_.restore_uniqueness) {
-    // Reseed before parking: a parked clone is one Produce away from user
-    // traffic, so its identity must already be unique when it enters the
-    // pool. A crash between restore and this completing leaves the clone's
-    // observed generation stale — InvokeOnClone refuses to admit it.
-    co_await RestoreUniqueness(*instance->process, *vm);
-  }
-  auto fc_id_value = co_await hv_.GuestReadMmds(*vm, "fcID");
+  auto fc_id_value = co_await hv_.GuestReadMmds(*instance->vm, "fcID");
   FW_CHECK(fc_id_value.ok());
 
   env_.metrics().GetCounter("fw.warmpool.prepared.count").Increment();
+  const uint64_t fc_id = instance->fc_id;
   pool_[fn_name].push_back(std::move(instance));
   co_return fc_id;
 }
@@ -593,7 +541,6 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   if (pit->second.empty()) {
     pool_.erase(pit);
   }
-  const InstalledFunction& fn = *instance->fn;
   if (config_.restore_uniqueness &&
       instance->process->observed_generation() != instance->vm->generation()) {
     // The clone's resume protocol never completed (e.g. a crash between
@@ -612,7 +559,7 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   root.SetAttribute("function", fn_name);
 
   fwobs::ScopedSpan frontend_span(tracer_, "invoke.frontend", "invoke");
-  co_await fwsim::Delay(env_.sim(), config_.controller_cost);
+  co_await fwsim::Delay(env_.sim(), kControllerCost);
   frontend_span.End();
 
   // Produce the arguments; the parked guest is already blocked on the topic.
@@ -626,39 +573,18 @@ fwsim::Co<Result<InvocationResult>> FireworksPlatform::InvokeOnClone(
   produce_span.End();
 
   fwobs::ScopedSpan consume_span(tracer_, "invoke.params.consume", "invoke");
-  auto params = co_await env_.broker().ConsumeLastWithTimeout(instance->topic, 0,
-                                                              config_.params_consume_timeout);
-  if (!params.ok()) {
+  AttemptTimes times;
+  Status served = co_await Serve(*instance, fn_name, options, consume_span, times, result);
+  if (!served.ok()) {
     Teardown(*instance);
-    co_return params.status();
+    co_return served;
   }
-  consume_span.End();
-  const SimTime t_params_read = env_.sim().Now();
-
-  if (env_.fault_injector().Trip(fwfault::FaultKind::kVmCrashDuringExec)) {
-    Teardown(*instance);
-    co_return Status::Unavailable("guest VM crashed executing " + fn_name);
-  }
-  fwobs::ScopedSpan exec_span(tracer_, "invoke.exec", "invoke");
-  result.exec_stats =
-      co_await instance->process->CallMethod(fn.annotated->entry_method, options.type_sig);
-  exec_span.End();
-  const SimTime t_exec_done = env_.sim().Now();
-
-  fwobs::ScopedSpan response_span(tracer_, "invoke.response", "invoke");
-  auto sent = co_await env_.network().SendOutbound(instance->netns_id, kGuestIp, 579);
-  if (!sent.ok()) {
-    Teardown(*instance);
-    co_return sent.status();
-  }
-  response_span.End();
-  const SimTime t_done = env_.sim().Now();
 
   // Startup spans request arrival → function entry, as on the snapshot path;
   // the restore itself happened off-path at PrepareClone time.
-  result.startup = t_params_read - t0;
-  result.exec = t_exec_done - t_params_read;
-  result.total = t_done - t0;
+  result.startup = times.params_read - t0;
+  result.exec = times.exec_done - times.params_read;
+  result.total = times.done - t0;
   result.others = result.total - result.startup - result.exec;
   root.End();
   result.root_span = root.get();
@@ -738,7 +664,7 @@ fwsim::Co<Status> FireworksPlatform::ColdBootInvoke(const InstalledFunction& fn,
 
   // Create + boot + wire + load: the slow path the snapshot normally skips.
   fwobs::ScopedSpan boot_span(tracer_, "invoke.coldboot.boot", "invoke");
-  MicroVm* vm = co_await hv_.CreateMicroVm("fw-coldboot-" + fn_name, config_.vm_config);
+  MicroVm* vm = co_await hv_.CreateMicroVm("fw-coldboot-" + fn_name, fwvmm::MicroVmConfig());
   Status booted = co_await hv_.BootGuestOs(*vm);
   if (!booted.ok()) {
     FW_CHECK(hv_.Destroy(*vm).ok());
@@ -749,8 +675,7 @@ fwsim::Co<Status> FireworksPlatform::ColdBootInvoke(const InstalledFunction& fn,
     FW_CHECK(hv_.Destroy(*vm).ok());
     co_return wired.status();
   }
-  const auto [netns_id, external_ip] = *wired;
-  (void)external_ip;
+  const uint64_t netns_id = *wired;
   vm->set_netns_id(netns_id);
   vm->set_tap_name(kGuestTapName);
   auto fs = std::make_unique<fwstore::Filesystem>(env_.sim(), env_.disk(),

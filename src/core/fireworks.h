@@ -34,44 +34,20 @@ class FireworksPlatform : public ServerlessPlatform {
   struct Config {
     Config() {}
 
-    // Frontend + controller processing per request (Fig 1).
-    Duration controller_cost = Duration::Micros(900);
-    // ip netns add + veth pair + iptables DNAT/SNAT rules (§3.5).
-    Duration netns_setup_cost = Duration::MillisF(2.2);
-    // Post-resume guest-kernel activity on the invocation critical path: the
-    // fraction of kernel/OS pages the resuming guest immediately re-reads
-    // (shared) and re-writes (private: page tables, timers).
-    double guest_os_resume_touch_fraction = 0.04;
-    double guest_os_resume_dirty_fraction = 0.02;
-    // Steady-state residency a long-running instance converges to (guest page
-    // cache, slab, per-VM kernel bookkeeping). Applied off the latency path
-    // when an instance is kept for the consolidation experiments (§5.4).
-    double guest_os_steady_touch_fraction = 0.80;
-    double guest_os_steady_dirty_fraction = 0.62;
-    // Long-running GC churn over the runtime heap (V8 old-space turnover).
-    double steady_runtime_heap_dirty_fraction = 0.65;
-    // REAP-style working-set prefetch before resume (ablation, §7).
+    // REAP-style working-set prefetch before resume (ablation, §7). The
+    // first successful invocation's image faults are always recorded as the
+    // snapshot's working set, so later prefetches read only those pages
+    // (Ustiugov et al., REAP).
     bool prefetch_on_restore = false;
-    // Record the image pages the first successful invocation faults in and
-    // attach them to the snapshot image as its working set. Later restores
-    // with prefetch_on_restore prefetch only those pages instead of the whole
-    // snapshot file (Ustiugov et al., REAP).
-    bool record_working_set = true;
     // Pin snapshots of installed functions in the store (§6 discussion: keep
     // frequently-accessed snapshots). Off for the eviction ablation.
     bool pin_snapshots = true;
     // --- Recovery ----------------------------------------------------------
-    // Bounded retry of the snapshot invoke path. Between attempts the
-    // platform backs off exponentially with jitter drawn from the simulation
-    // RNG (failure paths only, so fault-free runs stay bit-identical).
-    int max_invoke_attempts = 3;
+    // The snapshot invoke path is retried up to kMaxInvokeAttempts times.
+    // Between attempts the platform backs off exponentially from this base,
+    // with jitter drawn from the simulation RNG (failure paths only, so
+    // fault-free runs stay bit-identical).
     Duration retry_backoff = Duration::Millis(10);
-    // Overall per-invocation deadline measured from request arrival; crossing
-    // it fails the invocation with kDeadlineExceeded instead of retrying.
-    Duration invoke_timeout = Duration::Millis(30000);
-    // Deadline for the guest's parameter fetch: bounds the wait when a broker
-    // fault drops the args record (the guest would otherwise hang forever).
-    Duration params_consume_timeout = Duration::Millis(500);
     // Degrade to a full cold boot (create + boot + load, no snapshot) once
     // the snapshot path is exhausted.
     bool cold_boot_fallback = true;
@@ -83,9 +59,10 @@ class FireworksPlatform : public ServerlessPlatform {
     // request ids and timestamps) — kept togglable so the detector tests can
     // demonstrate the bug and the bench can price the fix.
     bool restore_uniqueness = true;
-    fwvmm::MicroVmConfig vm_config;
-    fwvmm::Hypervisor::Config hv_config;
   };
+
+  // Attempts of the snapshot invoke path before the cold-boot fallback.
+  static constexpr int kMaxInvokeAttempts = 3;
 
   explicit FireworksPlatform(HostEnv& env);
   FireworksPlatform(HostEnv& env, const Config& config);
@@ -101,11 +78,12 @@ class FireworksPlatform : public ServerlessPlatform {
 
   // --- Warm pool (cluster layer) ------------------------------------------
   // PrepareClone runs the off-critical-path half of an invocation: netns +
-  // NAT wiring, parameter-topic creation, snapshot restore, the post-resume
-  // kernel page activity, and the guest's MMDS identity read. The clone is
-  // then parked, blocked on its (still empty) parameter topic — exactly the
-  // state a real Fireworks clone idles in between restore and parameter
-  // consumption (§3.6). Returns the clone's fcID.
+  // NAT wiring, parameter-topic creation, snapshot restore (with the
+  // post-resume kernel page activity and the uniqueness protocol), and the
+  // guest's MMDS identity read. The clone is then parked, blocked on its
+  // (still empty) parameter topic — exactly the state a real Fireworks clone
+  // idles in between restore and parameter consumption (§3.6). Returns the
+  // clone's fcID.
   fwsim::Co<Result<uint64_t>> PrepareClone(const std::string& fn_name);
   // Invokes on the oldest parked clone of `fn_name`: produce the arguments,
   // let the waiting guest consume + execute, send the response. Latency
@@ -163,7 +141,6 @@ class FireworksPlatform : public ServerlessPlatform {
     std::unique_ptr<fwstore::Filesystem> fs;
     std::unique_ptr<fwlang::GuestProcess> process;
     uint64_t netns_id = 0;
-    fwnet::IpAddr external_ip;
     std::string topic;
     uint64_t fc_id = 0;
   };
@@ -181,8 +158,8 @@ class FireworksPlatform : public ServerlessPlatform {
   };
 
   // Wires a namespace + tap + NAT + external IP for one clone; returns the
-  // namespace id and external IP.
-  fwsim::Co<Result<std::pair<uint64_t, fwnet::IpAddr>>> WireNetwork();
+  // namespace id.
+  fwsim::Co<Result<uint64_t>> WireNetwork();
   fwlang::ExecEnv MakeGuestEnv(fwstore::Filesystem* fs, uint64_t netns_id,
                                fwnet::IpAddr guest_ip);
   fwlang::GuestProcess::FaultCharger ChargerFor(fwvmm::MicroVm* vm);
@@ -191,16 +168,33 @@ class FireworksPlatform : public ServerlessPlatform {
   // vmgenid resume protocol for a freshly restored clone (DESIGN.md §15):
   // generation-change notification, guest RNG reseed from host entropy, and
   // monotonic-clock rebase — charged on the restore critical path, emitted
-  // as guest_reseed/clock_rebase child spans of the caller's restore span.
+  // as guest_reseed/clock_rebase child spans of the caller's span.
   fwsim::Co<void> RestoreUniqueness(fwlang::GuestProcess& process, fwvmm::MicroVm& vm);
 
-  // One attempt of the snapshot invoke path (netns → produce → restore →
-  // consume → exec → response). Fills `instance` incrementally so the caller
-  // can tear down whatever partial state a failed attempt left behind.
-  fwsim::Co<Status> InvokeAttempt(const InstalledFunction& fn, const std::string& fn_name,
-                                  const std::string& args, const InvokeOptions& options,
-                                  Instance& instance, AttemptTimes& times,
-                                  InvocationResult& result);
+  // The three steps every snapshot path is built from (Fig 2 ⑤–⑦). Each
+  // fills `instance` as it goes, so on failure the caller tears down
+  // whatever partial state is left; callers own the spans around them.
+  //
+  // ⑤ Wires the clone's network namespace, assigns its fcID and creates its
+  // parameter topic.
+  fwsim::Co<Status> OpenInstance(Instance& instance);
+  // ⑥ Restores the post-JIT snapshot into a fresh microVM with the clone's
+  // MMDS metadata, runs the post-resume guest-kernel activity, attaches the
+  // guest runtime and runs the uniqueness protocol. The only place a clone
+  // is restored, so no clone can skip the protocol.
+  fwsim::Co<Status> RestoreInstance(Instance& instance, const std::string& fn_name);
+  // ⑦ Consumes the parameters (bounded wait), executes the entry method and
+  // sends the response, ending `consume_span` once the parameters are read
+  // and recording each phase's end in `times`.
+  fwsim::Co<Status> Serve(Instance& instance, const std::string& fn_name,
+                          const InvokeOptions& options, fwobs::ScopedSpan& consume_span,
+                          AttemptTimes& times, InvocationResult& result);
+
+  // One attempt of the full snapshot invoke path: open → produce → restore
+  // → MMDS read → serve.
+  fwsim::Co<Status> InvokeAttempt(const std::string& fn_name, const std::string& args,
+                                  const InvokeOptions& options, Instance& instance,
+                                  AttemptTimes& times, InvocationResult& result);
   // Recovery for a corrupted snapshot image: re-persist the in-memory image
   // under the same name (and re-pin it).
   fwsim::Co<Status> ReinstallSnapshot(const InstalledFunction& fn);

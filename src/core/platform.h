@@ -155,7 +155,7 @@ struct InvokeOptions {
   // triggers de-optimisation (§6).
   std::string type_sig = "default";
   // Per-invocation latency budget: bounds internal retries + backoff. Zero
-  // means the platform's configured invoke_timeout applies. Cluster fronts
+  // means the platform's default invocation timeout applies. Cluster fronts
   // pass the request's remaining deadline here so a nearly-expired request
   // does not burn a full default timeout on a doomed host.
   Duration deadline = Duration::Zero();

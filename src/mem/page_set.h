@@ -91,30 +91,6 @@ class PageSet {
     }
   }
 
-  // Calls fn(first, count) for every maximal run of consecutive set bits, in
-  // ascending order — the working-set persistence format.
-  template <typename Fn>
-  void ForEachRange(Fn&& fn) const {
-    bool open = false;
-    uint64_t first = 0;
-    uint64_t prev = 0;
-    ForEachSet([&](uint64_t page) {
-      if (open && page == prev + 1) {
-        prev = page;
-        return;
-      }
-      if (open) {
-        fn(first, prev - first + 1);
-      }
-      open = true;
-      first = page;
-      prev = page;
-    });
-    if (open) {
-      fn(first, prev - first + 1);
-    }
-  }
-
   // this |= other (sizes must match).
   void UnionWith(const PageSet& other);
 

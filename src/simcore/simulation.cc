@@ -43,12 +43,22 @@ Simulation::Simulation(uint64_t seed) : rng_(seed) { InstallLogTimeSource(); }
 
 Simulation::~Simulation() {
   fwbase::SetLogTimeSource(nullptr);
+  DestroyRoots();
+}
+
+void Simulation::DestroyRoots() {
   ReclaimDeadRoots();
-  // Destroy still-suspended roots; each recursively destroys awaited children.
-  for (auto& [id, h] : roots_) {
+  // Each root recursively destroys the children it awaits. A frame's
+  // destructors may spawn or schedule more work; that is destroyed too.
+  while (!roots_.empty()) {
+    const auto first = roots_.begin();
+    const std::coroutine_handle<> h = first->second;
+    roots_.erase(first);
     h.destroy();
   }
-  roots_.clear();
+  queue_.clear();
+  callbacks_.clear();
+  free_slots_.clear();
 }
 
 void Simulation::InstallLogTimeSource() {

@@ -70,6 +70,13 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
   size_t live_roots() const { return roots_.size(); }
 
+  // Destroys every still-suspended root (recursively, with the children it
+  // awaits) and drops the pending events, which could only resume those
+  // frames or run the model's callbacks. For an owner that is torn down
+  // before the Simulation: its in-flight frames must die while the objects
+  // they reference still exist. The clock keeps its value; later Spawns run.
+  void DestroyRoots();
+
   // Attributes event-loop dispatch ("sim.event.dispatch") and coroutine
   // resumption ("sim.coro.resume") cost to `profiler`. Pure observation —
   // the profiler never perturbs event order or the clock — so instrumented

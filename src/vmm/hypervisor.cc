@@ -26,6 +26,18 @@ const char* VmStateName(VmState state) {
   return "?";
 }
 
+fwmem::FaultCounts TouchGuestOs(fwmem::AddressSpace& space, const GuestOsActivity& activity,
+                                uint64_t kern_salt, uint64_t os_salt) {
+  const auto kern = space.SegmentByName(kSegGuestKernel);
+  const auto os = space.SegmentByName(kSegGuestOs);
+  fwmem::FaultCounts faults;
+  faults += space.TouchRandomFraction(kern, activity.touch_fraction, 7);
+  faults += space.TouchRandomFraction(os, activity.touch_fraction, 8);
+  faults += space.DirtyRandomFraction(kern, activity.dirty_fraction, kern_salt);
+  faults += space.DirtyRandomFraction(os, activity.dirty_fraction, os_salt);
+  return faults;
+}
+
 MicroVm::MicroVm(uint64_t id, std::string name, const MicroVmConfig& config,
                  std::unique_ptr<fwmem::AddressSpace> space, bool restored_from_snapshot)
     : id_(id),

@@ -45,6 +45,26 @@ using fwbase::Duration;
 inline constexpr char kSegGuestKernel[] = "guest_kernel";
 inline constexpr char kSegGuestOs[] = "guest_os";
 
+// Guest-kernel page activity of a snapshot-restored VM: the fraction of its
+// kernel and OS pages the guest re-reads (shared) and re-writes (private:
+// page tables, slab, timers).
+struct GuestOsActivity {
+  double touch_fraction;
+  double dirty_fraction;
+};
+// What a resuming guest does on the invocation critical path.
+inline constexpr GuestOsActivity kGuestOsResume{0.04, 0.02};
+// The residency a long-running instance converges to (guest page cache,
+// slab, per-VM kernel bookkeeping), charged off the latency path when an
+// instance is kept for the consolidation experiments (§5.4).
+inline constexpr GuestOsActivity kGuestOsSteady{0.80, 0.62};
+
+// Applies `activity` to the kernel and OS segments of `space` and returns
+// the faults to charge. The touched pages are the same in every clone (fixed
+// salts); the dirtied ones are keyed by the caller's per-instance salts.
+fwmem::FaultCounts TouchGuestOs(fwmem::AddressSpace& space, const GuestOsActivity& activity,
+                                uint64_t kern_salt, uint64_t os_salt);
+
 class Hypervisor {
  public:
   struct Config {

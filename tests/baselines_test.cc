@@ -408,5 +408,75 @@ TEST(CrossPlatformTest, FireworksBeatsWarmStarts) {
   EXPECT_LT(fw->startup, fc_warm->startup * 1.2);
 }
 
+// ---------------------------------------------------------------------------
+// Exact pins for kept, steady-state instances: the post-resume and
+// steady-state guest-OS activity on both VM platforms, which Fig 10 prices
+// and the other tests only bound by inequalities.
+// ---------------------------------------------------------------------------
+
+struct FaultTotals {
+  uint64_t major = 0;
+  uint64_t minor = 0;
+  uint64_t zero = 0;
+  uint64_t cow = 0;
+  uint64_t fresh = 0;
+};
+
+FaultTotals ReadFaultTotals(HostEnv& env) {
+  auto value = [&env](const char* name) { return env.metrics().GetCounter(name).value(); };
+  return FaultTotals{value("mem.fault.major.count"), value("mem.fault.minor.count"),
+                     value("mem.fault.zero.count"), value("mem.fault.cow.count"),
+                     value("mem.fault.fresh.count")};
+}
+
+InvokeOptions KeptSteady() {
+  InvokeOptions options;
+  options.keep_instance = true;
+  options.steady_state = true;
+  return options;
+}
+
+TEST(SteadyStatePinTest, FireworksKeptSteadyInstances) {
+  HostEnv env;
+  fwcore::FireworksPlatform fireworks(env);
+  const FunctionSource fn = FactFn();
+  ASSERT_TRUE(RunSync(env.sim(), fireworks.Install(fn)).ok());
+  auto first = RunSync(env.sim(), fireworks.Invoke(fn.name, "{}", KeptSteady()));
+  auto second = RunSync(env.sim(), fireworks.Invoke(fn.name, "{}", KeptSteady()));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  const FaultTotals faults = ReadFaultTotals(env);
+  EXPECT_EQ(first->startup.nanos(), 17682900);
+  EXPECT_EQ(second->startup.nanos(), 17780100);
+  EXPECT_EQ(fireworks.MeasurePssBytes(), 390746112.0);
+  EXPECT_EQ(faults.major, 50488u);
+  EXPECT_EQ(faults.minor, 16494u);
+  EXPECT_EQ(faults.zero, 0u);
+  EXPECT_EQ(faults.cow, 72467u);
+  EXPECT_EQ(faults.fresh, 60475u);
+}
+
+TEST(SteadyStatePinTest, FirecrackerOsSnapshotKeptSteadyInstances) {
+  HostEnv env;
+  FirecrackerPlatform::Config config;
+  config.mode = FirecrackerMode::kOsSnapshot;
+  FirecrackerPlatform os_snap(env, config);
+  const FunctionSource fn = FactFn();
+  ASSERT_TRUE(RunSync(env.sim(), os_snap.Install(fn)).ok());
+  auto first = RunSync(env.sim(), os_snap.Invoke(fn.name, "{}", KeptSteady()));
+  auto second = RunSync(env.sim(), os_snap.Invoke(fn.name, "{}", KeptSteady()));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  const FaultTotals faults = ReadFaultTotals(env);
+  EXPECT_EQ(first->startup.nanos(), 478098100);
+  EXPECT_EQ(second->startup.nanos(), 478198900);
+  EXPECT_EQ(os_snap.MeasurePssBytes(), 376496128.0);
+  EXPECT_EQ(faults.major, 35396u);
+  EXPECT_EQ(faults.minor, 8119u);
+  EXPECT_EQ(faults.zero, 21504u);
+  EXPECT_EQ(faults.cow, 34511u);
+  EXPECT_EQ(faults.fresh, 71568u);
+}
+
 }  // namespace
 }  // namespace fwbaselines

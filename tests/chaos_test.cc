@@ -151,7 +151,7 @@ std::string RunFireworksScenario(uint64_t seed, const FaultPlan& plan,
       InvokeOptions options;
       options.keep_instance = (i == 2);  // Exercise kept-instance teardown.
       auto r = RunSync(env.sim(), platform.Invoke(fn.name, "{\"n\":10}", options));
-      AppendResult(&fp, "invoke", r, pc.max_invoke_attempts);
+      AppendResult(&fp, "invoke", r, FireworksPlatform::kMaxInvokeAttempts);
     }
   }
   platform.ReleaseInstances();
@@ -938,9 +938,10 @@ ZoneOutageRun RunZoneOutageScenario(uint64_t seed, bool inject_outage) {
           << "request " << id << " duplicated request id " << out.request_id
           << " across the zone outage";
     }
-    ++app_total[out.fn];
+    const std::string& name = cluster.app_name(out.app);
+    ++app_total[name];
     if (out.status.ok() && out.latency <= cc.slo.target) {
-      ++app_good[out.fn];
+      ++app_good[name];
     }
   }
   for (const auto& [app, total] : app_total) {

@@ -835,12 +835,13 @@ TEST(ClusterAppIdTest, UninstalledAppFailsNotFoundAndCopiesKeepTheirApp) {
   for (uint64_t id = 1; id <= cluster.submitted(); ++id) {
     const Cluster::Outcome& out = cluster.outcome(id);
     EXPECT_EQ(out.completions, 1u);
-    ++submitted[out.fn];
-    if (out.fn == "ghost") {
+    const std::string& name = cluster.app_name(out.app);
+    ++submitted[name];
+    if (name == "ghost") {
       EXPECT_EQ(out.status.code(), fwbase::StatusCode::kNotFound) << out.status.ToString();
     }
     if (out.status.ok() && out.latency <= cc.slo.target) {
-      ++good[out.fn];
+      ++good[name];
     }
   }
   EXPECT_EQ(good["ghost"], 0u);
@@ -852,6 +853,47 @@ TEST(ClusterAppIdTest, UninstalledAppFailsNotFoundAndCopiesKeepTheirApp) {
     SCOPED_TRACE(report.app);
     EXPECT_EQ(report.total, submitted[report.app]);
     EXPECT_EQ(report.good, good[report.app]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Teardown.
+// ---------------------------------------------------------------------------
+
+fwsim::Co<void> SetFlag(bool* flag) {
+  *flag = true;
+  co_return;
+}
+
+// A FullHost cluster destroyed mid-run, before its Simulation: the frames of
+// its in-flight restores hold snapshot images whose frames live in the
+// hosts' memory, so they must be destroyed while the hosts still exist.
+// Under ASan, destroying them only with the Simulation is a use-after-free.
+TEST(ClusterTeardownTest, DestroyingClusterWithRestoresInFlightFreesTheirFrames) {
+  for (const int run_ms : {4, 9, 15}) {
+    SCOPED_TRACE(run_ms);
+    fwsim::Simulation sim(11);
+    {
+      std::vector<std::unique_ptr<ClusterHost>> hosts;
+      for (int i = 0; i < 2; ++i) {
+        hosts.push_back(std::make_unique<FullHost>(sim, i, FullHost::Config()));
+      }
+      Cluster cluster(sim, std::move(hosts), Cluster::Config());
+      const fwlang::FunctionSource fn =
+          fwwork::MakeFaasdom(fwwork::FaasdomBench::kFact, fwlang::Language::kNodeJs);
+      ASSERT_TRUE(RunSync(sim, cluster.InstallAll(fn)).ok());
+      for (int i = 0; i < 6; ++i) {
+        (void)cluster.Submit(fn.name, "{}");
+      }
+      sim.RunFor(Duration::Millis(run_ms));
+      EXPECT_LT(cluster.terminal(), cluster.submitted()) << "no request left in flight";
+    }
+    EXPECT_EQ(sim.live_roots(), 0u);
+    // The Simulation outlives its owner and still runs new work.
+    bool ran = false;
+    sim.Spawn(SetFlag(&ran));
+    sim.Run();
+    EXPECT_TRUE(ran);
   }
 }
 

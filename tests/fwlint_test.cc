@@ -1144,6 +1144,32 @@ TEST(BaselineTest, DiffSplitsFreshCoveredAndFixed) {
   EXPECT_EQ(diff.fixed[0].count, 2);
 }
 
+TEST(BaselineTest, MatchingIgnoresLineNumbersInMessages) {
+  const auto held = [](int decl, int await) {
+    return "reference 'fn' into 'installed_' (line " + std::to_string(decl) +
+           ") is held across the co_await on line " + std::to_string(await);
+  };
+  const std::vector<Diagnostic> before = {
+      {"src/a.cc", 175, "iterator-invalidation", held(169, 175)}};
+  // The baseline records the key with its cited lines masked...
+  const std::string json = fwlint::SerializeBaseline(before);
+  EXPECT_EQ(json.find("169"), std::string::npos) << json;
+  fwlint::Baseline base;
+  std::string error;
+  ASSERT_TRUE(fwlint::ParseBaseline(json, &base, &error)) << error;
+  // ...so the same finding one line further down is still covered.
+  const std::vector<Diagnostic> shifted = {
+      {"src/a.cc", 176, "iterator-invalidation", held(170, 176)}};
+  const fwlint::BaselineDiff diff = fwlint::DiffAgainstBaseline(shifted, base);
+  EXPECT_TRUE(diff.fresh.empty());
+  EXPECT_TRUE(diff.fixed.empty());
+  // A second instance is still new.
+  const std::vector<Diagnostic> doubled = {shifted[0],
+                                           {"src/a.cc", 190, "iterator-invalidation",
+                                            held(170, 190)}};
+  EXPECT_EQ(fwlint::DiffAgainstBaseline(doubled, base).fresh.size(), 1u);
+}
+
 TEST(BaselineTest, StaleSuppressionIsNeverBaselineable) {
   const std::vector<Diagnostic> diags = {
       {"src/a.cc", 3, "stale-suppression", "fwlint:allow(x) matches no finding"}};

@@ -1,6 +1,7 @@
 #include "tools/fwlint/baseline.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -27,6 +28,31 @@ std::string JsonEscape(const std::string& s) {
         } else {
           out += c;
         }
+    }
+  }
+  return out;
+}
+
+// Messages cite related lines ("held across the co_await on line 175"):
+// replace each number after "line " with "N" so an edit that shifts code
+// leaves the baseline key unchanged.
+std::string WithoutLineNumbers(const std::string& msg) {
+  static constexpr char kLine[] = "line ";
+  std::string out;
+  out.reserve(msg.size());
+  size_t i = 0;
+  while (i < msg.size()) {
+    if (msg.compare(i, sizeof(kLine) - 1, kLine) == 0) {
+      out += kLine;
+      i += sizeof(kLine) - 1;
+      if (i < msg.size() && std::isdigit(static_cast<unsigned char>(msg[i]))) {
+        out += 'N';
+        while (i < msg.size() && std::isdigit(static_cast<unsigned char>(msg[i]))) {
+          ++i;
+        }
+      }
+    } else {
+      out += msg[i++];
     }
   }
   return out;
@@ -118,7 +144,7 @@ class Scanner {
 };
 
 std::string Key(const std::string& file, const std::string& check, const std::string& msg) {
-  return file + "|" + check + "|" + msg;
+  return file + "|" + check + "|" + WithoutLineNumbers(msg);
 }
 
 }  // namespace
@@ -194,7 +220,7 @@ std::string SerializeBaseline(const std::vector<Diagnostic>& diags) {
     if (d.check == "stale-suppression") {
       continue;  // staleness is reported live, never baselined
     }
-    ++counts[{d.file, d.check, d.message}];
+    ++counts[{d.file, d.check, WithoutLineNumbers(d.message)}];
   }
   std::ostringstream os;
   os << "{\n  \"version\": 1,\n  \"findings\": [";

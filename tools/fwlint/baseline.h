@@ -7,9 +7,10 @@
 // entries whose findings disappeared are reported as fixed, never required.
 //
 // Matching is deliberately line-insensitive: the key is (file, check,
-// message) with multiset counts. Unrelated edits move findings around a file
-// without invalidating the baseline; only genuinely new instances (more
-// occurrences of a key than the baseline carries) trip the gate.
+// message) with multiset counts, and line numbers the message cites are
+// masked ("line N"). Unrelated edits move findings around a file without
+// invalidating the baseline; only genuinely new instances (more occurrences
+// of a key than the baseline carries) trip the gate.
 //
 // The file format is a strict, tiny JSON subset — exactly what
 // SerializeBaseline() emits — parsed by hand so the tool stays free of
